@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -167,22 +168,6 @@ class GradedPoly:
         return result
 
     # -- structure queries --------------------------------------------
-
-    def coefficient(self, key: Mono) -> Fraction:
-        v, t, m = key
-        return self.terms.get((normalize(v), normalize(t), normalize(m)), Fraction(0))
-
-    def constant(self) -> Fraction:
-        return self.terms.get(MONO_ONE, Fraction(0))
-
-    def by_t_part(self) -> dict[Exp, "GradedPoly"]:
-        """Decompose as sum_b c_b(v) t^b; requires no m generators."""
-        groups: dict[Exp, dict[Mono, Fraction]] = {}
-        for (v, t, m), c in self.terms.items():
-            if m:
-                raise ValueError("polynomial still contains rational m generators")
-            groups.setdefault(t, {})[(v, (), ())] = c
-        return {t: GradedPoly(self.p, part) for t, part in groups.items()}
 
     def t_evaluated_at_zero(self) -> "GradedPoly":
         """Image under the ring map sending every t generator to zero."""
@@ -410,18 +395,40 @@ class EtaRTable:
     def to_bytes(self) -> bytes:
         return (json.dumps(self.to_payload(), indent=2) + "\n").encode("utf-8")
 
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+    def save(self, path) -> bytes:
+        """Write the serialized table beside path, then move it over path, so
+        an interrupted save leaves no partial cache; return the bytes."""
+        data = self.to_bytes()
+        tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return data
 
     @classmethod
     def load(cls, path) -> "EtaRTable":
+        """Read a cache written by :meth:`save`; errors name the file."""
         with open(path, "rb") as fh:
-            payload = json.loads(fh.read().decode("utf-8"))
-        return cls.from_payload(payload)
+            raw = fh.read()
+        try:
+            return cls.from_payload(json.loads(raw.decode("utf-8")))
+        except IntegralityError as exc:
+            raise IntegralityError(f"cache {path}: {exc}", exc.offenders) from exc
+        except ValueError as exc:
+            raise ValueError(f"cache {path}: {exc}") from exc
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.to_bytes()).hexdigest()
+        return fingerprint_bytes(self.to_bytes())
+
+
+def fingerprint_bytes(data: bytes) -> str:
+    """The cache fingerprint of a serialized table: its SHA-256 hex digest."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def eta_r_v(gamma, table: EtaRTable) -> GradedPoly:

@@ -31,8 +31,14 @@ from .bp_hopf import (
     IntegralityError,
     check_integrality,
     eta_r_v,
+    fingerprint_bytes,
 )
-from .dvr_arith import is_odd_prime, topological_generator, valuation
+from .dvr_arith import (
+    generates_units_mod_p2,
+    is_odd_prime,
+    topological_generator,
+    valuation,
+)
 from .ktheory_lattice import (
     StabilizationError,
     adams_sequence,
@@ -46,8 +52,8 @@ from .monomial_order import (
     sort_key,
     unit_exp,
 )
-from .op_calculus import elementary_realize, functional_matrix, mu_matrix
-from .truncation_centre import block_split, centre_commutant, diagonal_window_lattice
+from .op_calculus import ConsistencyError, mu_matrix, realized_matrix
+from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
 SUITES = ("etaR", "triangular", "realize", "centre", "congruence", "all")
@@ -72,6 +78,8 @@ class RunConfig:
     def __post_init__(self):
         if not is_odd_prime(self.p):
             raise ConfigError(f"p must be an odd prime, got {self.p}")
+        if self.q is not None and not generates_units_mod_p2(self.q, self.p):
+            raise ConfigError(f"q must generate the units of Z/{self.p**2}, got {self.q}")
         if self.max_weight < 1:
             raise ConfigError("max-weight must be at least 1")
         if not (0 <= self.window <= self.max_weight):
@@ -104,17 +112,35 @@ class RunConfig:
 
 
 def load_or_build_table(config: RunConfig):
-    """Return (table, cache_status); builds and persists the cache if absent."""
+    """Return (table, cache section of the report).
+
+    Builds and persists the cache if absent.  A written cache is
+    fingerprinted from the bytes just written, a loaded one from its
+    canonical re-serialization.
+    """
     path = config.cache_path()
     if os.path.exists(path):
         table = EtaRTable.load(path)
         if table.p != config.p or table.max_weight != config.max_weight:
             raise ValueError(f"cache {path} does not match the configuration")
-        return table, "hit"
-    table = EtaRTable(config.p, config.max_weight).populate()
-    os.makedirs(config.cache_dir, exist_ok=True)
-    table.save(path)
-    return table, "written"
+        status, fingerprint = "hit", table.fingerprint()
+    else:
+        table = EtaRTable(config.p, config.max_weight).populate()
+        os.makedirs(config.cache_dir, exist_ok=True)
+        status, fingerprint = "written", fingerprint_bytes(table.save(path))
+    return table, {"path": path, "status": status, "fingerprint": fingerprint}
+
+
+def weight_stats(table: EtaRTable, r: int):
+    """(weight-r monomials, eta_R term count, largest coefficient valuation)."""
+    gammas = enumerate_weight(r, table.p)
+    terms, max_val = 0, 0
+    for gamma in gammas:
+        poly = table.eta(gamma)
+        terms += len(poly.terms)
+        for c in poly.terms.values():
+            max_val = max(max_val, valuation(c, table.p))
+    return gammas, terms, max_val
 
 
 def _check(checks: list, check_id: str, ok: bool, witness: str) -> bool:
@@ -138,20 +164,12 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
     _check(checks, "eta-v1-exact", got == expected_v1, f"eta_R(v_1) = {got}")
 
     for r in range(config.max_weight + 1):
-        gammas = enumerate_weight(r, p)
+        gammas, term_count, max_val = weight_stats(table, r)
         bad = []
-        term_count = 0
-        max_val = 0
         for gamma in gammas:
-            poly = table.eta(gamma)
-            term_count += len(poly.terms)
-            ok, offenders = check_integrality(poly)
+            ok, offenders = check_integrality(table.eta(gamma))
             if not ok:
                 bad.append((gamma, offenders[0]))
-            for c in poly.terms.values():
-                v = valuation(c, p)
-                if v != float("inf"):
-                    max_val = max(max_val, v)
         witness = f"monomials={len(gammas)} terms={term_count} max_coeff_val={max_val}"
         if bad:
             witness += f" offender={bad[0]}"
@@ -209,26 +227,12 @@ def suite_realize(config: RunConfig, table: EtaRTable) -> list[dict]:
         first_bad = ""
         for alpha in basis:
             for beta in basis:
-                mu_bar, coeffs = elementary_realize(alpha, beta, table)
-                valuations[str(beta)] = valuation(mu_bar, p)
-                combined = None
-                for gamma, c in coeffs.items():
-                    term = functional_matrix(alpha, gamma, r, table).scale(c)
-                    combined = term if combined is None else combined + term
-                ia, ib = basis.index(alpha), basis.index(beta)
-                good = (
-                    mu_bar != 0
-                    and all(valuation(c, p) >= 0 for c in coeffs.values())
-                    and all(
-                        combined.entries[i][j]
-                        == (mu_bar if (i, j) == (ia, ib) else 0)
-                        for i in range(len(basis))
-                        for j in range(len(basis))
-                    )
-                )
-                if not good and not first_bad:
-                    first_bad = f"pair=({alpha},{beta})"
+                try:
+                    mu_bar, _ = realized_matrix(alpha, beta, table)
+                    valuations[str(beta)] = valuation(mu_bar, p)
+                except ConsistencyError:
                     ok = False
+                    first_bad = first_bad or f"pair=({alpha},{beta})"
         witness = "mu_bar valuations by column: " + json.dumps(valuations)
         if first_bad:
             witness += "; " + first_bad
@@ -292,16 +296,15 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
                "projections of the basis belong to the smaller window")
     for n in config.heights:
         report = compare_with_diagonal_window(
-            N, n, table, q=q, caps=config.caps, margin=config.margin
+            N, n, table, q=q, caps=config.caps, sg=(sg, cert)
         )
-        _check(
-            checks,
-            f"congruence-inclusion/n={n}/N={N}",
-            report["inclusion"],
-            f"sg divisors {report['sg_divisors']} "
-            f"diagonal divisors {report['diagonal_divisors']} "
-            f"gap={report['gap_colength']}",
-        )
+        sg_div = f"sg divisors {report['sg_divisors']}"
+        _check(checks, f"congruence-inclusion/n={n}/N={N}", report["inclusion"],
+               f"{sg_div} diagonal divisors {report['diagonal_divisors']} "
+               f"gap={report['gap_colength']}")
+        _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", report["phi_inclusion"],
+               f"phi divisors {report['phi_divisors']} {sg_div} "
+               f"gap={report['phi_gap_colength']}")
     return checks
 
 
@@ -325,37 +328,38 @@ def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     p = config.p
     q = config.q if config.q is not None else topological_generator(p)
     N = config.window
-    sg, cert = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
-    diagonal = {}
-    inclusion = True
-    gaps = {}
-    for n in config.heights:
-        lat = diagonal_window_lattice(N, n, table, caps=config.caps, q=q)
-        diagonal[str(n)] = list(lat.elementary_divisors)
-        ok = all(sg_membership(col, lat) is not None for col in sg.basis)
-        inclusion = inclusion and ok
-        gaps[str(n)] = (
-            sg.colength() - lat.colength() if ok and sg.rank == lat.rank else None
-        )
+    sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
+    comparisons = [
+        compare_with_diagonal_window(N, n, table, q=q, caps=config.caps, sg=sg)
+        for n in config.heights
+    ]
+
+    def by_height(key: str) -> dict:
+        return {str(c["height"]): c[key] for c in comparisons}
+
     return {
-        "sg": list(sg.elementary_divisors),
-        "diagonal": diagonal,
-        "inclusion": inclusion,
-        "gap": gaps,
-        "stabilization": {
-            "q": cert.q,
-            "m_cap": cert.m_cap,
-            "s_cap": cert.s_cap,
-            "margin": cert.margin,
-            "last_changed_a": cert.last_changed_a,
-            "stopped_at_a": cert.stopped_at_a,
-        },
+        "sg": list(sg[0].elementary_divisors),
+        "diagonal": by_height("diagonal_divisors"),
+        "inclusion": all(c["inclusion"] for c in comparisons),
+        "gap": by_height("gap_colength"),
+        "phi": by_height("phi_divisors"),
+        "phi_inclusion": all(c["phi_inclusion"] for c in comparisons),
+        "phi_gap": by_height("phi_gap_colength"),
+        "stabilization": sg[1].summary(),
     }
 
 
 # ---------------------------------------------------------------------------
 # report rendering
 # ---------------------------------------------------------------------------
+
+# Lattice report keys: divisors by height, inclusion flag, gap by height, and
+# the wording of the inclusion and gap lines.
+LATTICE_COMPARISONS = (
+    ("diagonal", "inclusion", "gap", "S_g in diagonal", "gap colength"),
+    ("phi", "phi_inclusion", "phi_gap", "phi-only in S_g", "phi-only gap colength"),
+)
+
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
@@ -375,14 +379,14 @@ def render_report(report: dict, fmt: str) -> str:
         if report.get("lattices"):
             lat = report["lattices"]
             writer.writerow(["lattice", "S_g", "divisors", "", json.dumps(lat["sg"])])
-            for n, div in lat["diagonal"].items():
-                writer.writerow(
-                    ["lattice", f"diagonal/n={n}", "divisors", "", json.dumps(div)]
-                )
-            writer.writerow(
-                ["lattice", "inclusion", "",
-                 "PASS" if lat["inclusion"] else "FAIL", json.dumps(lat["gap"])]
-            )
+            for name, ok, gap, _, _ in LATTICE_COMPARISONS:
+                for n, div in lat.get(name, {}).items():
+                    writer.writerow(
+                        ["lattice", f"{name}/n={n}", "divisors", "", json.dumps(div)]
+                    )
+                if ok in lat:
+                    writer.writerow(["lattice", ok.replace("_", "-"), "",
+                                     "PASS" if lat[ok] else "FAIL", json.dumps(lat[gap])])
         return buf.getvalue()
 
     lines = ["# bpcentre report", "", "## configuration", ""]
@@ -402,13 +406,12 @@ def render_report(report: dict, fmt: str) -> str:
         lat = report["lattices"]
         lines += ["", "## lattices", ""]
         lines.append(f"- S_g elementary divisors (p-exponents): {lat['sg']}")
-        for n, div in lat["diagonal"].items():
-            lines.append(f"- diagonal window divisors at height {n}: {div}")
-        lines.append(
-            f"- inclusion S_g in diagonal: "
-            f"{'PASS' if lat['inclusion'] else 'FAIL'}"
-        )
-        lines.append(f"- gap colength by height: {json.dumps(lat['gap'])}")
+        for name, ok, gap, what, gap_name in LATTICE_COMPARISONS:
+            for n, div in lat.get(name, {}).items():
+                lines.append(f"- {name} window divisors at height {n}: {div}")
+            if ok in lat:
+                lines.append(f"- inclusion {what}: {'PASS' if lat[ok] else 'FAIL'}")
+                lines.append(f"- {gap_name} by height: {json.dumps(lat[gap])}")
         lines.append(f"- stabilization: {json.dumps(lat['stabilization'])}")
     if "eta" in report:
         lines += ["", "## right unit on the generators", ""]
@@ -431,7 +434,9 @@ def overall_status(report: dict) -> int:
             if check["status"] != "PASS":
                 return 1
     lattices = report.get("lattices")
-    if lattices is not None and not lattices.get("inclusion", True):
+    if lattices is not None and not (
+        lattices.get("inclusion", True) and lattices.get("phi_inclusion", True)
+    ):
         return 1
     return 0
 
@@ -440,27 +445,11 @@ def overall_status(report: dict) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_eta_table(config: RunConfig) -> int:
-    try:
-        table, status = load_or_build_table(config)
-    except IntegralityError as exc:
-        sys.stdout.write(f"FAIL integrality: {exc}\n")
-        return 1
-    except (ValueError, OSError) as exc:
-        sys.stdout.write(f"FAIL cache: {exc}\n")
-        return 1
+def eta_sections(config: RunConfig, table: EtaRTable) -> dict:
+    """The eta-table report: eta_R on the generators, per-weight statistics."""
     weights = []
     for r in range(config.max_weight + 1):
-        gammas = enumerate_weight(r, config.p)
-        terms = 0
-        max_val = 0
-        for gamma in gammas:
-            poly = table.eta(gamma)
-            terms += len(poly.terms)
-            for c in poly.terms.values():
-                v = valuation(c, config.p)
-                if v != float("inf"):
-                    max_val = max(max_val, v)
+        gammas, terms, max_val = weight_stats(table, r)
         weights.append(
             {"weight": r, "monomials": len(gammas), "terms": terms,
              "max_coeff_val": max_val}
@@ -469,65 +458,31 @@ def cmd_eta_table(config: RunConfig) -> int:
         {"index": k, "value": str(table.eta(unit_exp(k)))}
         for k in range(1, max_generator_index(config.max_weight, config.p) + 1)
     ]
-    report = {
-        "config": config.as_dict(),
-        "cache": {
-            "path": config.cache_path(),
-            "status": status,
-            "fingerprint": table.fingerprint(),
-        },
-        "suites": [],
-        "lattices": None,
-        "eta": eta_rows,
-        "weights": weights,
-    }
-    sys.stdout.write(render_report(report, config.fmt))
-    return 0
+    return {"eta": eta_rows, "weights": weights}
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
+def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
+    """Load or build the table, print the command's report, return the exit code."""
     try:
-        table, status = load_or_build_table(config)
-    except (IntegralityError, ValueError, OSError) as exc:
+        table, cache = load_or_build_table(config)
+    except IntegralityError as exc:
+        sys.stdout.write(f"FAIL integrality: {exc}\n")
+        return 1
+    except (ValueError, OSError) as exc:
         sys.stdout.write(f"FAIL cache: {exc}\n")
         return 1
-    suites = run_suites(config, table, suite)
-    lattices = None
-    report = {
-        "config": config.as_dict(),
-        "cache": {
-            "path": config.cache_path(),
-            "status": status,
-            "fingerprint": table.fingerprint(),
-        },
-        "suites": suites,
-        "lattices": lattices,
-    }
-    sys.stdout.write(render_report(report, config.fmt))
-    return overall_status(report)
-
-
-def cmd_lattices(config: RunConfig) -> int:
-    try:
-        table, status = load_or_build_table(config)
-    except (IntegralityError, ValueError, OSError) as exc:
-        sys.stdout.write(f"FAIL cache: {exc}\n")
-        return 1
-    try:
-        lattices = lattice_report(config, table)
-    except StabilizationError as exc:
-        sys.stdout.write(f"FAIL stabilization: {exc}\n")
-        return 1
-    report = {
-        "config": config.as_dict(),
-        "cache": {
-            "path": config.cache_path(),
-            "status": status,
-            "fingerprint": table.fingerprint(),
-        },
-        "suites": [],
-        "lattices": lattices,
-    }
+    report = {"config": config.as_dict(), "cache": cache, "suites": [],
+              "lattices": None}
+    if command == "eta-table":
+        report.update(eta_sections(config, table))
+    elif command == "verify":
+        report["suites"] = run_suites(config, table, suite)
+    else:
+        try:
+            report["lattices"] = lattice_report(config, table)
+        except StabilizationError as exc:
+            sys.stdout.write(f"FAIL stabilization: {exc}\n")
+            return 1
     sys.stdout.write(render_report(report, config.fmt))
     return overall_status(report)
 
@@ -607,11 +562,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         parser.error(str(exc))  # exits with code 2
 
-    if args.command == "eta-table":
-        return cmd_eta_table(config)
-    if args.command == "verify":
-        return cmd_verify(config, args.suite)
-    return cmd_lattices(config)
+    return run_command(config, args.command, getattr(args, "suite", "all"))
 
 
 if __name__ == "__main__":

@@ -68,25 +68,26 @@ def reduce_mod_p_power(x, p: int, e: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def topological_generator(p: int) -> int:
-    """Smallest positive integer generating the units of Z/p^2.
+def generates_units_mod_p2(q: int, p: int) -> bool:
+    """Whether q generates the units of Z/p^2.
 
-    Such an integer is a topological generator of the p-adic units for odd p.
+    For odd p such a q is a topological generator of the p-adic units.
     """
+    mod = p * p
+    if q % p == 0:
+        return False
+    order, acc = 1, q % mod
+    while acc != 1:
+        acc = acc * q % mod
+        order += 1
+    return order == p * (p - 1)
+
+
+def topological_generator(p: int) -> int:
+    """Smallest positive integer generating the units of Z/p^2."""
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
-    mod = p * p
-    target = p * (p - 1)
-    for q in range(2, mod):
-        if q % p == 0:
-            continue
-        order, acc = 1, q % mod
-        while acc != 1:
-            acc = acc * q % mod
-            order += 1
-        if order == target:
-            return q
-    raise AssertionError("no generator found")  # unreachable for odd primes
+    return next(q for q in range(2, p * p) if generates_units_mod_p2(q, p))
 
 
 # ---------------------------------------------------------------------------
@@ -101,17 +102,6 @@ def as_matrix(rows) -> Matrix:
     return tuple(as_vector(row) for row in rows)
 
 
-def identity_matrix(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix size mismatch")
@@ -120,25 +110,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
               for j in range(len(b[0]) if b else 0))
         for i in range(len(a))
     )
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ValueError("matrix size mismatch")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def commutes(a: Matrix, b: Matrix) -> bool:
-    return mat_mul(a, b) == mat_mul(b, a)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ raises, never silently truncates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .bp_hopf import EtaRTable
@@ -26,7 +26,7 @@ from .dvr_arith import (
     lattice_membership,
     topological_generator,
 )
-from .truncation_centre import diagonal_window_lattice
+from .truncation_centre import diagonal_window_lattice, phi_window_lattice
 
 Window = tuple[Fraction, ...]
 
@@ -47,6 +47,10 @@ class StabilizationCertificate:
     margin: int
     last_changed_a: int
     stopped_at_a: int
+
+    def summary(self) -> dict:
+        """The fields reports carry: all but the prime and the window."""
+        return {k: v for k, v in asdict(self).items() if k not in ("p", "window")}
 
 
 def adams_sequence(p: int, k, N: int) -> Window:
@@ -127,6 +131,16 @@ def sg_membership(w, lattice: DvrLattice):
     return cert
 
 
+def lattice_inclusion(inner: DvrLattice, outer: DvrLattice):
+    """Whether every basis vector of inner has a verified certificate in
+    outer, and the colength of the inclusion (None unless it holds at equal
+    rank)."""
+    inclusion = all(sg_membership(col, outer) is not None for col in inner.basis)
+    if inclusion and inner.rank == outer.rank:
+        return True, inner.colength() - outer.colength()
+    return inclusion, None
+
+
 def compare_with_diagonal_window(
     N: int,
     n: int,
@@ -134,22 +148,23 @@ def compare_with_diagonal_window(
     q: int | None = None,
     caps=None,
     margin: int = 4,
+    sg=None,
 ) -> dict:
-    """Compare the congruence window with the realizable diagonal window.
+    """Compare the congruence window with the realizable diagonal windows.
 
-    Checks the inclusion of the former in the latter exactly (every echelon
-    basis vector carries a verified certificate) and reports both elementary
-    divisor sequences and the colength of the inclusion as the measured gap.
-    The inclusion must hold; the gap is reported, never asserted to vanish.
+    Checks two inclusions exactly and reports the colength of each as its
+    gap, never asserted to vanish.  S_g lies in the diagonal lattice by
+    construction, since the Adams windows spanning S_g generate part of it;
+    the windows of the phi functionals alone lying in S_g is the inclusion
+    that can fail.  ``sg`` may pass in :func:`sg_window`'s result.
     """
-    p = table.p
-    sg, cert = sg_window(p, N, q=q, caps=caps, margin=margin)
+    if sg is None:
+        sg = sg_window(table.p, N, q=q, caps=caps, margin=margin)
+    sg, cert = sg
     diagonal = diagonal_window_lattice(N, n, table, caps=caps, q=q)
-    memberships = [sg_membership(col, diagonal) for col in sg.basis]
-    inclusion = all(m is not None for m in memberships)
-    gap = None
-    if inclusion and sg.rank == diagonal.rank:
-        gap = sg.colength() - diagonal.colength()
+    phi = phi_window_lattice(N, n, table)
+    inclusion, gap = lattice_inclusion(sg, diagonal)
+    phi_inclusion, phi_gap = lattice_inclusion(phi, sg)
     return {
         "window": N,
         "height": n,
@@ -159,12 +174,8 @@ def compare_with_diagonal_window(
         "diagonal_pivot_rows": [row for row, _ in diagonal.pivots],
         "inclusion": inclusion,
         "gap_colength": gap,
-        "stabilization": {
-            "q": cert.q,
-            "m_cap": cert.m_cap,
-            "s_cap": cert.s_cap,
-            "margin": cert.margin,
-            "last_changed_a": cert.last_changed_a,
-            "stopped_at_a": cert.stopped_at_a,
-        },
+        "phi_divisors": list(phi.elementary_divisors),
+        "phi_inclusion": phi_inclusion,
+        "phi_gap_colength": phi_gap,
+        "stabilization": cert.summary(),
     }

@@ -124,9 +124,6 @@ class DegreeMatrix:
         )
         return DegreeMatrix(self.p, self.r, self.basis, entries)
 
-    def __sub__(self, other: "DegreeMatrix") -> "DegreeMatrix":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "DegreeMatrix":
         c = Fraction(c)
         return DegreeMatrix(
@@ -145,9 +142,6 @@ class DegreeMatrix:
             tuple(self.basis[i] for i in idx),
             tuple(tuple(self.entries[i][j] for j in idx) for i in idx),
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
 
     def is_scalar(self):
         """The scalar c with entries == c*I, or None."""
@@ -284,6 +278,36 @@ def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> DegreeMatrix:
         for i in range(len(basis))
     )
     return DegreeMatrix(p, r, basis, entries)
+
+
+def realized_matrix(alpha, beta, table: EtaRTable):
+    """(mu_bar, matrix) for :func:`elementary_realize`, verified exactly.
+
+    The matrix is the realized combination acting on the full weight basis;
+    it must equal mu_bar * E_(alpha, beta) with mu_bar non-zero and every
+    coefficient p-integral, else ConsistencyError.
+    """
+    p = table.p
+    alpha, beta = normalize(alpha), normalize(beta)
+    r = weight(alpha, p)
+    mu_bar, coeffs = elementary_realize(alpha, beta, table)
+    combined = None
+    for gamma, c in coeffs.items():
+        term = functional_matrix(alpha, gamma, r, table).scale(c)
+        combined = term if combined is None else combined + term
+    size = len(combined.basis)
+    ia, ib = combined.basis.index(alpha), combined.basis.index(beta)
+    expected = tuple(
+        tuple(mu_bar if (i, j) == (ia, ib) else Fraction(0) for j in range(size))
+        for i in range(size)
+    )
+    if (mu_bar == 0 or any(valuation(c, p) < 0 for c in coeffs.values())
+            or combined.entries != expected):
+        raise ConsistencyError(
+            f"realized combination for ({alpha}, {beta}) is not "
+            f"{mu_bar}*E in weight {r}"
+        )
+    return mu_bar, combined
 
 
 def stable_generators(p: int, max_weight: int) -> list[OpFunctional]:

@@ -11,12 +11,17 @@ The window lattice collects, for all weights up to a bound simultaneously,
 the scalar sequences realizable by integral combinations of the generating
 operations (the spanning degree-zero functionals together with the Adams
 family) whose action preserves the J block and is scalar on R modulo J.
+Adams operations act as scalars, so that lattice is the sum of the windows
+of the functionals alone (one integral kernel) and the Adams windows (one
+echelon form).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -26,16 +31,17 @@ from .dvr_arith import (
     is_integral,
     topological_generator,
 )
-from .monomial_order import Exp, enumerate_weight, in_ideal, normalize
+from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, weight
 from .op_calculus import (
     ConsistencyError,
     DegreeMatrix,
-    action_matrix,
-    elementary_realize,
-    functional_matrix,
+    realized_matrix,
     scalar_matrix,
-    stable_generators,
 )
+
+# Per-table caches: phi action entries by weight, phi window lattices by (N, n).
+_ACTIONS_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
+_PHI_WINDOW_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -78,7 +84,7 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Degre
     The realized combination acts on the full weight-r basis as a p-power
     multiple of a single elementary matrix, killing every J column, so it
     descends to the truncation; the descent is its R-restriction.  The full
-    matrix identity is re-verified here before restricting.
+    matrix identity is verified by :func:`realized_matrix` before restricting.
     """
     p = table.p
     alpha, beta = normalize(alpha), normalize(beta)
@@ -86,23 +92,7 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Degre
     if alpha not in split.r_basis or beta not in split.r_basis:
         raise ValueError(f"{alpha} and {beta} must avoid the height-{n} ideal")
 
-    mu_bar, coeffs = elementary_realize(alpha, beta, table)
-    combined = None
-    for gamma, c in coeffs.items():
-        term = functional_matrix(alpha, gamma, r, table).scale(c)
-        combined = term if combined is None else combined + term
-
-    ia, ib = split.basis.index(alpha), split.basis.index(beta)
-    expected = tuple(
-        tuple(mu_bar if (i, j) == (ia, ib) else Fraction(0)
-              for j in range(len(split.basis)))
-        for i in range(len(split.basis))
-    )
-    if combined.entries != expected:
-        raise ConsistencyError(
-            f"realized combination for ({alpha}, {beta}) is not "
-            f"{mu_bar}*E in weight {r}"
-        )
+    _, combined = realized_matrix(alpha, beta, table)
     return combined.restrict(split.r_indices)
 
 
@@ -137,6 +127,83 @@ def default_adams_keys(p: int, max_weight: int, caps=None, q: int | None = None)
     return keys
 
 
+def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """{(i, j): {generator: entry}}, the non-zero weight-r action entries of
+    every phi(alpha, beta), indexed in :func:`stable_generators` order.
+
+    One pass over eta_R: its term c v^a t^beta in column gamma is the entry
+    of phi(alpha, beta) in row a + alpha for every alpha of the weight of
+    beta.  Agrees with :func:`action_matrix`; cached per table.
+    """
+    per_table = _ACTIONS_CACHE.setdefault(table, {})
+    if r in per_table:
+        return per_table[r]
+    p = table.p
+    bases = [tuple(enumerate_weight(s, p)) for s in range(r + 1)]
+    offsets = [0]
+    for s in range(r):
+        offsets.append(offsets[-1] + len(bases[s]) ** 2)
+    index = {a: i for i, a in enumerate(bases[r])}
+    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for j, gamma in enumerate(bases[r]):
+        for (a, beta, _m), c in table.eta(gamma).terms.items():
+            s = weight(beta, p)
+            src = bases[s]
+            first = offsets[s] + src.index(beta)
+            for ia, alpha in enumerate(src):
+                cell = entries.setdefault((index[add(a, alpha)], j), {})
+                cell[first + ia * len(src)] = c
+    per_table[r] = entries
+    return entries
+
+
+def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
+    """Lattice L_phi of the windows realized by the phi generators alone.
+
+    As :func:`diagonal_window_lattice` without the Adams family: the mu
+    projection of the saturated integral kernel of one exact linear system
+    over all weights r <= N; cached per table.
+    """
+    per_table = _PHI_WINDOW_CACHE.setdefault(table, {})
+    if (N, n) in per_table:
+        return per_table[N, n]
+    p = table.p
+    if N > table.max_weight:
+        raise ValueError("window bound exceeds the table bound")
+    n_gen = sum(len(enumerate_weight(r, p)) ** 2 for r in range(N + 1))
+    n_vars = n_gen + N + 1
+
+    rows = []
+    for r in range(N + 1):
+        split = block_split(r, n, p)
+        actions = phi_actions(r, table)
+        for i in split.r_indices:
+            for j in range(len(split.basis)):
+                entries = actions.get((i, j), {})
+                if not entries and i != j:
+                    continue
+                row = [Fraction(0)] * n_vars
+                for g, c in entries.items():
+                    row[g] = c
+                if i == j:
+                    row[n_gen + r] = Fraction(-1)
+                rows.append(row)
+
+    kernel = integral_kernel(rows, n_vars, p)
+    lattice = echelon_lattice(p, [vec[n_gen:] for vec in kernel], N + 1)
+    per_table[N, n] = lattice
+    return lattice
+
+
+@lru_cache(maxsize=64)
+def adams_window_lattice(p: int, N: int, adams_keys: tuple[int, ...]) -> DvrLattice:
+    """Lattice L_A spanned by the Adams windows (k^((p-1)r))_r, 0^0 = 1."""
+    windows = [
+        [Fraction(k) ** ((p - 1) * r) for r in range(N + 1)] for k in adams_keys
+    ]
+    return echelon_lattice(p, windows, N + 1)
+
+
 def diagonal_window_lattice(
     N: int,
     n: int,
@@ -148,44 +215,25 @@ def diagonal_window_lattice(
     """Lattice of scalar windows (mu_0, ..., mu_N) of realizable diagonals.
 
     A window is admitted when one integral combination of the generating
-    operations acts, in every weight r <= N simultaneously, by a matrix that
-    maps the J block into itself and restricts to mu_r times the identity on
-    the R block modulo J.  Computed as the projection onto the mu
-    coordinates of the integral solution module of one exact linear system.
+    operations -- the phi(alpha, beta) together with the Adams family --
+    acts, in every weight r <= N simultaneously, by a matrix that maps the
+    J block into itself and restricts to mu_r times the identity on the R
+    block modulo J.
+
+    In the linear system over phi unknowns x, Adams unknowns y and window
+    unknowns mu, the y_k and the mu_r occur only in the rows (i, i) with i
+    in R, with coefficients k^((p-1)r) and -1.  So (x, y, mu) is an
+    integral solution exactly when (x, 0, mu - sum_k y_k adams(k)) is one,
+    and the projection of the saturated kernel onto mu is L_phi + L_A: the
+    echelon form of :func:`phi_window_lattice` together with
+    :func:`adams_window_lattice`.
     """
     p = table.p
-    if N > table.max_weight:
-        raise ValueError("window bound exceeds the table bound")
     if adams_keys is None:
         adams_keys = default_adams_keys(p, N, caps=caps, q=q)
-    gens = stable_generators(p, N)
-    n_gen, n_adams = len(gens), len(adams_keys)
-    n_vars = n_gen + n_adams + (N + 1)
-
-    rows = []
-    for r in range(N + 1):
-        split = block_split(r, n, p)
-        actions = [action_matrix(g, r, table).entries for g in gens]
-        adams_scalars = [
-            Fraction(k) ** ((p - 1) * r) if (p - 1) * r else Fraction(1)
-            for k in adams_keys
-        ]
-        r_set = set(split.r_indices)
-        for i in split.r_indices:
-            for j in range(len(split.basis)):
-                row = [Fraction(0)] * n_vars
-                for g_idx in range(n_gen):
-                    row[g_idx] = actions[g_idx][i][j]
-                if i == j:
-                    for k_idx in range(n_adams):
-                        row[n_gen + k_idx] = adams_scalars[k_idx]
-                if i == j and j in r_set:
-                    row[n_gen + n_adams + r] = Fraction(-1)
-                rows.append(row)
-
-    kernel = integral_kernel(rows, n_vars, p)
-    windows = [vec[n_gen + n_adams:] for vec in kernel]
-    return echelon_lattice(p, windows, N + 1)
+    phi = phi_window_lattice(N, n, table)
+    adams = adams_window_lattice(p, N, tuple(adams_keys))
+    return echelon_lattice(p, phi.basis + adams.basis, N + 1)
 
 
 def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[DegreeMatrix]:

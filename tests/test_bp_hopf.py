@@ -1,5 +1,8 @@
+import hashlib
 import json
+import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from bpcentre.bp_hopf import (
     check_integrality,
     coefficient_of_t,
     eta_r_v,
+    fingerprint_bytes,
     hazewinkel_m,
     substitute_m,
 )
@@ -265,6 +269,63 @@ def test_cache_payload_shape(tmp_path):
         {"v_exponents": [], "t_exponents": [1],
          "coefficient_numerator": "3", "coefficient_denominator": "1"},
     ]
+
+
+def test_save_returns_the_bytes_it_wrote(tmp_path):
+    table = EtaRTable(3, 5).populate()
+    path = tmp_path / "cache.json"
+    data = table.save(path)
+    assert data == path.read_bytes() == table.to_bytes()
+    assert table.fingerprint() == hashlib.sha256(table.to_bytes()).hexdigest()
+    assert fingerprint_bytes(data) == table.fingerprint()
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
+    table = EtaRTable(3, 5).populate()
+    path = tmp_path / "cache.json"
+
+    class Interrupted(Exception):
+        pass
+
+    real_open = open
+
+    def open_failing_after_write(*args, **kwargs):
+        fh = real_open(*args, **kwargs)
+        write = fh.write
+
+        def partial_write(data):
+            write(data[: len(data) // 2])
+            raise Interrupted
+
+        fh.write = partial_write
+        return fh
+
+    monkeypatch.setattr("builtins.open", open_failing_after_write)
+    with pytest.raises(Interrupted):
+        table.save(path)
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
+
+    # A failed save over an existing cache leaves the old bytes in place.
+    old = EtaRTable(3, 5).populate().save(path)
+
+    def failing_replace(src, dst):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        table.save(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
+
+
+def test_cache_load_errors_name_the_file(tmp_path):
+    path = tmp_path / "cache.json"
+    data = EtaRTable(3, 6).populate().save(path)
+    path.write_bytes(data[:500])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        EtaRTable.load(path)
 
 
 def test_cache_load_rejects_incomplete(tmp_path):

@@ -203,3 +203,93 @@ def test_render_report_covers_lattices():
     assert "inclusion S_g in diagonal: PASS" in md
     csv_text = render_report(report, "csv")
     assert "lattice,S_g,divisors" in csv_text
+
+
+@pytest.mark.parametrize("q", [1, 3, 10])
+def test_non_generator_q_is_rejected(q, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        RunConfig(p=3, q=q)
+    with pytest.raises(SystemExit) as exc:
+        main(base_args(tmp_path, ["lattices", "--p", "3", "--max-weight", "5",
+                                  "--N", "5", "--heights", "1", "--q", str(q)]))
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("q", [2, 5])
+def test_generator_q_is_accepted(q):
+    assert RunConfig(p=3, q=q).as_dict()["q"] == q
+
+
+def test_lattices_report_phi_keys(tmp_path, capsys):
+    argv = ["lattices", "--p", "3", "--max-weight", "5", "--N", "5",
+            "--heights", "1,2", "--format", "json",
+            "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    lat = json.loads(out)["lattices"]
+    assert lat["phi_inclusion"] is True
+    assert lat["phi"]["1"] == [0, 1, 2, 4, 5, 5]
+    assert lat["phi_gap"] == {"1": 8, "2": 8}
+    assert lat["gap"] == {"1": 0, "2": 0}
+
+
+def inject_window_outside_sg(monkeypatch):
+    """Add the top unit window, which S_g lacks from N = 2 on, to L_phi."""
+    from bpcentre import ktheory_lattice, truncation_centre
+    from bpcentre.dvr_arith import echelon_lattice
+
+    real = truncation_centre.phi_window_lattice
+
+    def injected(N, n, table):
+        unit = (0,) * N + (1,)
+        return echelon_lattice(table.p, real(N, n, table).basis + (unit,), N + 1)
+
+    for module in (ktheory_lattice, truncation_centre):
+        monkeypatch.setattr(module, "phi_window_lattice", injected)
+
+
+def test_phi_inclusion_check_can_fail(tmp_path, capsys, monkeypatch):
+    inject_window_outside_sg(monkeypatch)
+    args = ["--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, ["verify", "congruence", *args])
+    assert code == 1
+    status = {c["id"]: c["status"] for c in json.loads(out)["suites"][0]["checks"]}
+    assert status["congruence-phi-inclusion/n=1/N=3"] == "FAIL"
+    assert status["congruence-inclusion/n=1/N=3"] == "PASS"
+
+    code, out = run_cli(capsys, ["lattices", *args])
+    assert code == 1
+    lat = json.loads(out)["lattices"]
+    assert lat["phi_inclusion"] is False
+    assert lat["phi_gap"] == {"1": None}
+    assert lat["inclusion"] is True
+
+
+def test_truncated_cache_names_its_path(tmp_path, capsys):
+    argv = ["eta-table", "--p", "3", "--max-weight", "8",
+            "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    cache_file = tmp_path / "cache" / "etaR_p3_hazewinkel_w8.json"
+    cache_file.write_bytes(cache_file.read_bytes()[:500])
+    for command in (argv, ["verify", "triangular", *argv[1:]]):
+        code, out = run_cli(capsys, command)
+        assert code == 1
+        assert out.startswith("FAIL cache: ")
+        assert str(cache_file) in out
+
+
+def test_report_fingerprint_is_sha256_of_cache_bytes(tmp_path, capsys):
+    import hashlib
+
+    from bpcentre.bp_hopf import EtaRTable
+
+    argv = ["eta-table", "--p", "3", "--max-weight", "6", "--format", "json",
+            "--cache", str(tmp_path / "cache")]
+    cache_file = tmp_path / "cache" / "etaR_p3_hazewinkel_w6.json"
+    written = json.loads(run_cli(capsys, argv)[1])["cache"]
+    hit = json.loads(run_cli(capsys, argv)[1])["cache"]
+    assert (written["status"], hit["status"]) == ("written", "hit")
+    expected = hashlib.sha256(EtaRTable(3, 6).to_bytes()).hexdigest()
+    assert written["fingerprint"] == hit["fingerprint"] == expected
+    assert hashlib.sha256(cache_file.read_bytes()).hexdigest() == expected
