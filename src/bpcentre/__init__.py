@@ -29,7 +29,6 @@ from .dvr_arith import (
 )
 from .ktheory_lattice import (
     StabilizationError,
-    adams_sequence,
     compare_with_diagonal_window,
     sg_membership,
     sg_window,
@@ -48,6 +47,7 @@ from .op_calculus import (
     OpFunctional,
     action_matrix,
     adams_matrix,
+    adams_sequence,
     counit,
     elementary_realize,
     phi_alpha_beta,

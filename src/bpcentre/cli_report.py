@@ -52,7 +52,7 @@ from .monomial_order import (
     sort_key,
     unit_exp,
 )
-from .op_calculus import ConsistencyError, mu_matrix, realized_matrix
+from .op_calculus import ConsistencyError, default_caps, mu_matrix, realized_matrix
 from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
@@ -92,6 +92,11 @@ class RunConfig:
             raise ConfigError("margin must be positive")
         if self.caps is not None and (self.caps[0] < 0 or self.caps[1] < 0):
             raise ConfigError("caps must be non-negative")
+        # Resolve the defaults once; every consumer reads the resolved values.
+        if self.q is None:
+            object.__setattr__(self, "q", topological_generator(self.p))
+        if self.caps is None:
+            object.__setattr__(self, "caps", default_caps(self.window))
 
     def as_dict(self) -> dict:
         return {
@@ -99,10 +104,10 @@ class RunConfig:
             "max_weight": self.max_weight,
             "heights": list(self.heights),
             "N": self.window,
-            "q": self.q if self.q is not None else topological_generator(self.p),
+            "q": self.q,
             "cache_dir": self.cache_dir,
             "format": self.fmt,
-            "caps": list(self.caps) if self.caps else [self.window + 8, 3],
+            "caps": list(self.caps),
             "margin": self.margin,
         }
 
@@ -241,18 +246,24 @@ def suite_realize(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 
 def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
+    """Block order and centre per (height, weight); an internal inconsistency
+    (a violated block order, a realization that does not verify) FAILs the
+    check it occurred in, with its message as the witness."""
     checks: list[dict] = []
-    p = config.p
     for n in config.heights:
         for r in range(config.max_weight + 1):
-            split = block_split(r, n, p)
-            _check(
-                checks,
-                f"block-order/n={n}/w={r}",
-                True,
-                f"|R|={len(split.r_indices)} |J|={len(split.j_indices)}",
-            )
-            rank, basis = centre_commutant(r, n, table)
+            try:
+                split = block_split(r, n, config.p)
+            except ConsistencyError as exc:
+                _check(checks, f"block-order/n={n}/w={r}", False, str(exc))
+            else:
+                _check(checks, f"block-order/n={n}/w={r}", True,
+                       f"|R|={len(split.r_indices)} |J|={len(split.j_indices)}")
+            try:
+                rank, basis = centre_commutant(r, n, table)
+            except ConsistencyError as exc:
+                _check(checks, f"centre/n={n}/w={r}", False, str(exc))
+                continue
             scalar = all(
                 all(m[i][j] == (m[0][0] if i == j else 0)
                     for i in range(len(m)) for j in range(len(m)))
@@ -269,9 +280,7 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
     checks: list[dict] = []
-    p = config.p
-    q = config.q if config.q is not None else topological_generator(p)
-    N = config.window
+    p, q, N = config.p, config.q, config.window
     try:
         sg, cert = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
     except StabilizationError as exc:
@@ -325,9 +334,7 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
-    p = config.p
-    q = config.q if config.q is not None else topological_generator(p)
-    N = config.window
+    p, q, N = config.p, config.q, config.window
     sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
     comparisons = [
         compare_with_diagonal_window(N, n, table, q=q, caps=config.caps, sg=sg)

@@ -95,11 +95,8 @@ def topological_generator(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 def as_vector(entries) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
-def as_matrix(rows) -> Matrix:
-    return tuple(as_vector(row) for row in rows)
+    """The entries as Fractions; Fraction entries are kept as they are."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -144,6 +141,33 @@ class DvrLattice:
         return sum(self.elementary_divisors)
 
 
+def _eliminate(cols: list[list[Fraction]], nrows: int, p: int) -> list[tuple[int, int]]:
+    """Unimodular column elimination of the first nrows rows, in place.
+
+    In each row the active column of least valuation (lowest index on ties)
+    becomes the pivot and clears that row from the other active columns; the
+    multipliers are p-integral by minimality, so the column operations are
+    invertible over Z_(p).  Returns (row, column) per pivot, in row order.
+    """
+    _check_prime(p)
+    active = list(range(len(cols)))
+    pivots = []
+    for row in range(nrows):
+        candidates = [j for j in active if cols[j][row] != 0]
+        if not candidates:
+            continue
+        piv = min(candidates, key=lambda j: (valuation(cols[j][row], p), j))
+        top = cols[piv]
+        for j in candidates:
+            if j != piv:
+                c = cols[j][row] / top[row]
+                cols[j] = [x - c * y if y else x for x, y in zip(cols[j], top)]
+        pivots.append((row, piv))
+        active.remove(piv)
+    assert all(cols[j][row] == 0 for j in active for row in range(nrows))
+    return pivots
+
+
 def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
     """Canonical echelon form of the Z_(p)-span of the given vectors.
 
@@ -161,28 +185,13 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
                 raise ValueError(f"non-integral entry {x} (valuation {valuation(x, p)})")
         cols.append(list(v))
 
-    active = list(range(len(cols)))
     echelon: list[list[Fraction]] = []
     pivots: list[tuple[int, int]] = []
-    for row in range(ambient_rank):
-        candidates = [j for j in active if cols[j][row] != 0]
-        if not candidates:
-            continue
-        piv = min(candidates, key=lambda j: (valuation(cols[j][row], p), j))
-        e = valuation(cols[piv][row], p)
-        for j in active:
-            if j == piv or cols[j][row] == 0:
-                continue
-            c = cols[j][row] / cols[piv][row]  # in Z_(p) by minimality of e
-            cols[j] = [x - c * y for x, y in zip(cols[j], cols[piv])]
-        unit = Fraction(p) ** e / cols[piv][row]
-        echelon.append([unit * x for x in cols[piv]])
+    for row, j in _eliminate(cols, ambient_rank, p):
+        e = valuation(cols[j][row], p)
+        unit = Fraction(p) ** e / cols[j][row]
+        echelon.append([unit * x for x in cols[j]])
         pivots.append((row, e))
-        active.remove(piv)
-
-    # Leftover columns were cleared in every row.
-    for j in active:
-        assert all(x == 0 for x in cols[j])
 
     # Reduce pivot-row entries of earlier columns mod the pivot, top down.
     for j, (row, e) in enumerate(pivots):
@@ -229,38 +238,21 @@ def lattice_membership(v, lattice: DvrLattice):
 def integral_kernel(rows, ncols: int, p: int) -> list[Vector]:
     """Z_(p)-basis of the module of integral vectors annihilated by the rows.
 
-    Performs unimodular column elimination with minimal-valuation pivoting,
-    so the result is saturated: every integral vector of the rational kernel
-    is an integral combination of the returned basis.
+    Eliminates the rows stacked over the identity, so the result is
+    saturated: every integral vector of the rational kernel is an integral
+    combination of the returned basis, the identity part of the columns
+    that were never pivots.
     """
-    _check_prime(p)
-    work = [list(as_vector(row)) for row in rows]
-    for row in work:
-        if len(row) != ncols:
-            raise ValueError("row length mismatch")
-    trans = [[Fraction(1 if i == j else 0) for j in range(ncols)] for i in range(ncols)]
-
-    active = list(range(ncols))
-    for i in range(len(work)):
-        candidates = [j for j in active if work[i][j] != 0]
-        if not candidates:
-            continue
-        piv = min(candidates, key=lambda j: (valuation(work[i][j], p), j))
-        for j in active:
-            if j == piv or work[i][j] == 0:
-                continue
-            c = work[i][j] / work[i][piv]  # p-integral by pivot minimality
-            for r in range(len(work)):
-                work[r][j] -= c * work[r][piv]
-            for r in range(ncols):
-                trans[r][j] -= c * trans[r][piv]
-        active.remove(piv)
-
-    kernel = []
-    for j in active:
-        assert all(work[r][j] == 0 for r in range(len(work)))
-        kernel.append(tuple(trans[r][j] for r in range(ncols)))
-    return kernel
+    work = [as_vector(row) for row in rows]
+    if any(len(row) != ncols for row in work):
+        raise ValueError("row length mismatch")
+    one, zero = Fraction(1), Fraction(0)
+    cols = [
+        [row[j] for row in work] + [one if i == j else zero for i in range(ncols)]
+        for j in range(ncols)
+    ]
+    pivot_cols = {j for _, j in _eliminate(cols, len(work), p)}
+    return [tuple(col[len(work):]) for j, col in enumerate(cols) if j not in pivot_cols]
 
 
 def commutant(mats, size: int, p: int) -> list[Matrix]:
@@ -268,22 +260,27 @@ def commutant(mats, size: int, p: int) -> list[Matrix]:
 
     Matrices are square of the given size with p-local entries; the empty
     family yields the full matrix space.  Unknowns are the size^2 entries of
-    X in row-major order.
+    X in row-major order; rows of XM - MX that vanish identically constrain
+    nothing and are left out.
     """
     rows = []
     for m in mats:
-        m = as_matrix(m)
         if len(m) != size or any(len(r) != size for r in m):
             raise ValueError("commutant input must be square of the given size")
+        # (XM - MX)[i][j] = sum_b m[b][j] X[i][b] - sum_a m[i][a] X[a][j]
+        col_terms = [[(b, m[b][j]) for b in range(size) if m[b][j]] for j in range(size)]
+        row_terms = [[(a, x) for a, x in enumerate(m[i]) if x] for i in range(size)]
         for i in range(size):
             for j in range(size):
-                # (XM - MX)[i][j] as a linear form in the entries of X.
+                if not (row_terms[i] or col_terms[j]):
+                    continue
                 row = [Fraction(0)] * (size * size)
-                for b in range(size):
-                    row[i * size + b] += m[b][j]
-                for a in range(size):
-                    row[a * size + j] -= m[i][a]
-                rows.append(row)
+                for b, x in col_terms[j]:
+                    row[i * size + b] += x
+                for a, x in row_terms[i]:
+                    row[a * size + j] -= x
+                if any(row):
+                    rows.append(row)
     kernel = integral_kernel(rows, size * size, p)
     return [
         tuple(tuple(vec[i * size + j] for j in range(size)) for i in range(size))

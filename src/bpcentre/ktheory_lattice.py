@@ -22,13 +22,11 @@ from .bp_hopf import EtaRTable
 from .dvr_arith import (
     DvrLattice,
     echelon_lattice,
-    is_integral,
     lattice_membership,
     topological_generator,
 )
+from .op_calculus import adams_sequence, default_caps
 from .truncation_centre import diagonal_window_lattice, phi_window_lattice
-
-Window = tuple[Fraction, ...]
 
 
 class StabilizationError(RuntimeError):
@@ -53,18 +51,6 @@ class StabilizationCertificate:
         return {k: v for k, v in asdict(self).items() if k not in ("p", "window")}
 
 
-def adams_sequence(p: int, k, N: int) -> Window:
-    """The window (k^((p-1)i)) for i = 0..N, with 0^0 = 1."""
-    k = Fraction(k)
-    if not is_integral(k, p):
-        raise ValueError(f"Adams parameter {k} is not p-local")
-    out = []
-    for i in range(N + 1):
-        e = (p - 1) * i
-        out.append(Fraction(1) if e == 0 else k**e)
-    return tuple(out)
-
-
 def sg_window(
     p: int,
     N: int,
@@ -85,7 +71,7 @@ def sg_window(
         raise ValueError("margin must be positive")
     if q is None:
         q = topological_generator(p)
-    m_cap, s_cap = caps if caps is not None else (N + 8, 3)
+    m_cap, s_cap = caps if caps is not None else default_caps(N)
 
     lattice = echelon_lattice(p, [adams_sequence(p, 0, N)], N + 1)
     streak = 0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
-from .dvr_arith import is_integral, valuation
+from .dvr_arith import is_integral, mat_mul, valuation
 from .monomial_order import Exp, enumerate_weight, normalize, weight
 
 _MU_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
@@ -104,16 +104,8 @@ class DegreeMatrix:
     def __mul__(self, other: "DegreeMatrix") -> "DegreeMatrix":
         if self.basis != other.basis:
             raise ValueError("basis mismatch")
-        n = self.size
-        entries = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(n)),
-                    Fraction(0))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return DegreeMatrix(self.p, self.r, self.basis, entries)
+        return DegreeMatrix(self.p, self.r, self.basis,
+                            mat_mul(self.entries, other.entries))
 
     def __add__(self, other: "DegreeMatrix") -> "DegreeMatrix":
         if self.basis != other.basis:
@@ -213,21 +205,29 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> DegreeMatrix:
     return DegreeMatrix(p, r, basis, entries)
 
 
-def adams_matrix(p: int, k, r: int, size: int | None = None) -> DegreeMatrix:
-    """The Adams operation for parameter k in weight r: k^((p-1)r) * I.
+def adams_sequence(p: int, k, N: int) -> tuple[Fraction, ...]:
+    """The Adams window (k^((p-1)i)) for i = 0..N, with 0^0 = 1.
 
-    k may be any p-local integer including 0 and p; 0^0 = 1 so that the
-    parameter-0 operation is the identity in weight 0 and zero above.
+    k may be any p-local integer, 0 and p included: the parameter-0
+    operation is the identity in weight 0 and zero above.
     """
     k = Fraction(k)
     if not is_integral(k, p):
         raise ValueError(f"Adams parameter {k} is not p-local")
+    return tuple(k ** ((p - 1) * i) for i in range(N + 1))
+
+
+def default_caps(N: int) -> tuple[int, int]:
+    """Default generator caps (M, S) of the Adams family for window N."""
+    return N + 8, 3
+
+
+def adams_matrix(p: int, k, r: int, size: int | None = None) -> DegreeMatrix:
+    """The Adams operation for parameter k in weight r: k^((p-1)r) * I."""
     basis = tuple(enumerate_weight(r, p))
     if size is not None and size != len(basis):
         raise ValueError(f"size {size} != weight-{r} basis size {len(basis)}")
-    exponent = (p - 1) * r
-    scalar = Fraction(1) if exponent == 0 else k**exponent
-    return scalar_matrix(p, r, basis, scalar)
+    return scalar_matrix(p, r, basis, adams_sequence(p, k, r)[r])
 
 
 def elementary_realize(alpha, beta, table: EtaRTable):
@@ -283,31 +283,31 @@ def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> DegreeMatrix:
 def realized_matrix(alpha, beta, table: EtaRTable):
     """(mu_bar, matrix) for :func:`elementary_realize`, verified exactly.
 
-    The matrix is the realized combination acting on the full weight basis;
-    it must equal mu_bar * E_(alpha, beta) with mu_bar non-zero and every
-    coefficient p-integral, else ConsistencyError.
+    The realized combination sum_gamma c_gamma * M(alpha, gamma) vanishes
+    outside row alpha, where its entry in column j is
+    sum_gamma c_gamma * mu[j][gamma].  That row must be mu_bar * e_beta with
+    mu_bar non-zero and every coefficient p-integral, else ConsistencyError;
+    the matrix is then mu_bar * E_(alpha, beta) on the full weight basis.
     """
     p = table.p
     alpha, beta = normalize(alpha), normalize(beta)
     r = weight(alpha, p)
     mu_bar, coeffs = elementary_realize(alpha, beta, table)
-    combined = None
-    for gamma, c in coeffs.items():
-        term = functional_matrix(alpha, gamma, r, table).scale(c)
-        combined = term if combined is None else combined + term
-    size = len(combined.basis)
-    ia, ib = combined.basis.index(alpha), combined.basis.index(beta)
-    expected = tuple(
-        tuple(mu_bar if (i, j) == (ia, ib) else Fraction(0) for j in range(size))
-        for i in range(size)
-    )
-    if (mu_bar == 0 or any(valuation(c, p) < 0 for c in coeffs.values())
-            or combined.entries != expected):
+    basis, mu = mu_matrix(r, table)
+    index = {gamma: i for i, gamma in enumerate(basis)}
+    terms = [(index[gamma], c) for gamma, c in coeffs.items()]
+    row = tuple(sum((c * mu_j[g] for g, c in terms), Fraction(0)) for mu_j in mu)
+    zero = (Fraction(0),) * len(basis)
+    expected = list(zero)
+    expected[index[beta]] = mu_bar
+    if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
+            or row != tuple(expected)):
         raise ConsistencyError(
             f"realized combination for ({alpha}, {beta}) is not "
             f"{mu_bar}*E in weight {r}"
         )
-    return mu_bar, combined
+    entries = tuple(row if i == index[alpha] else zero for i in range(len(basis)))
+    return mu_bar, DegreeMatrix(p, r, basis, entries)
 
 
 def stable_generators(p: int, max_weight: int) -> list[OpFunctional]:

@@ -35,6 +35,8 @@ from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, wei
 from .op_calculus import (
     ConsistencyError,
     DegreeMatrix,
+    adams_sequence,
+    default_caps,
     realized_matrix,
     scalar_matrix,
 )
@@ -119,7 +121,7 @@ def default_adams_keys(p: int, max_weight: int, caps=None, q: int | None = None)
     """Adams parameters p^s * q^a (plus 0) used as window generators."""
     if q is None:
         q = topological_generator(p)
-    m_cap, s_cap = caps if caps is not None else (max_weight + 8, 3)
+    m_cap, s_cap = caps if caps is not None else default_caps(max_weight)
     keys = [0]
     for s in range(s_cap + 1):
         for a in range(m_cap + 1):
@@ -198,10 +200,7 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
 @lru_cache(maxsize=64)
 def adams_window_lattice(p: int, N: int, adams_keys: tuple[int, ...]) -> DvrLattice:
     """Lattice L_A spanned by the Adams windows (k^((p-1)r))_r, 0^0 = 1."""
-    windows = [
-        [Fraction(k) ** ((p - 1) * r) for r in range(N + 1)] for k in adams_keys
-    ]
-    return echelon_lattice(p, windows, N + 1)
+    return echelon_lattice(p, [adams_sequence(p, k, N) for k in adams_keys], N + 1)
 
 
 def diagonal_window_lattice(
@@ -242,19 +241,13 @@ def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[DegreeM
     In weight r the combination acts as the scalar
     sum_k coeff(k) * k^((p-1)r) on the R block (0^0 = 1).
     """
-    coeffs = []
+    windows = []
     for k, c in combination.items():
-        k, c = Fraction(k), Fraction(c)
-        if not is_integral(k, p) or not is_integral(c, p):
-            raise ValueError("Adams parameters and coefficients must be p-local")
-        coeffs.append((k, c))
-    out = []
-    for r in range(N + 1):
-        split = block_split(r, n, p)
-        exponent = (p - 1) * r
-        scalar = sum(
-            (c * (k**exponent if exponent else Fraction(1)) for k, c in coeffs),
-            Fraction(0),
-        )
-        out.append(scalar_matrix(p, r, split.r_basis, scalar))
-    return out
+        if not is_integral(c, p):
+            raise ValueError("Adams coefficients must be p-local")
+        windows.append((Fraction(c), adams_sequence(p, k, N)))
+    return [
+        scalar_matrix(p, r, block_split(r, n, p).r_basis,
+                      sum((c * w[r] for c, w in windows), Fraction(0)))
+        for r in range(N + 1)
+    ]

@@ -293,3 +293,44 @@ def test_report_fingerprint_is_sha256_of_cache_bytes(tmp_path, capsys):
     expected = hashlib.sha256(EtaRTable(3, 6).to_bytes()).hexdigest()
     assert written["fingerprint"] == hit["fingerprint"] == expected
     assert hashlib.sha256(cache_file.read_bytes()).hexdigest() == expected
+
+
+def test_block_order_check_can_fail(tmp_path, capsys, monkeypatch):
+    from bpcentre import truncation_centre
+
+    real = truncation_centre.in_ideal
+    monkeypatch.setattr(truncation_centre, "in_ideal", lambda a, n: not real(a, n))
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "5", "--heights", "1",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert len(checks) == 2 * 6
+    # Weight 4 at p=3 holds v_1^4 (R) before v_2 (J); swapped, J comes first.
+    for check_id in ("block-order/n=1/w=4", "centre/n=1/w=4"):
+        assert checks[check_id]["status"] == "FAIL"
+        assert "block order violated in weight 4" in checks[check_id]["witness"]
+
+
+def test_bad_realization_fails_centre(tmp_path, capsys, monkeypatch):
+    from bpcentre import op_calculus
+
+    real = op_calculus.elementary_realize
+
+    def perturbed(alpha, beta, table):
+        mu_bar, coeffs = real(alpha, beta, table)
+        first = next(iter(coeffs))
+        return mu_bar, {**coeffs, first: coeffs[first] + 1}
+
+    monkeypatch.setattr(op_calculus, "elementary_realize", perturbed)
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "4", "--heights", "1,2",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert len(checks) == 2 * 5 * 2
+    for check in checks:
+        expected = "PASS" if check["id"].startswith("block-order/") else "FAIL"
+        assert check["status"] == expected, check
+        if expected == "FAIL":
+            assert "realized combination" in check["witness"]

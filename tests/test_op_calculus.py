@@ -6,6 +6,7 @@ import pytest
 from bpcentre.bp_hopf import GradedPoly
 from bpcentre.monomial_order import enumerate_weight, weight
 from bpcentre.op_calculus import (
+    ConsistencyError,
     action_matrix,
     adams_matrix,
     counit,
@@ -14,6 +15,7 @@ from bpcentre.op_calculus import (
     mu_matrix,
     phi_alpha_beta,
     phi_beta,
+    realized_matrix,
     stable_generators,
 )
 
@@ -151,6 +153,25 @@ def test_realization_soundness(table_p3):
                 for j in range(len(basis)):
                     expected = mu_bar if (i, j) == (ia, ib) else 0
                     assert combined.entries[i][j] == expected, (r, alpha, beta)
+
+
+def test_realized_matrix_rejects_perturbed_coefficients(table_p3, monkeypatch):
+    # Every single-coefficient perturbation of a realization is detected.
+    from bpcentre import op_calculus
+
+    real = op_calculus.elementary_realize
+    for r in range(6):
+        basis = enumerate_weight(r, 3)
+        for alpha, beta in itertools.product(basis, repeat=2):
+            mu_bar, coeffs = real(alpha, beta, table_p3)
+            assert realized_matrix(alpha, beta, table_p3)[0] == mu_bar
+            for gamma in coeffs:
+                bad = (mu_bar, {**coeffs, gamma: coeffs[gamma] + 1})
+                monkeypatch.setattr(op_calculus, "elementary_realize",
+                                    lambda *_args, bad=bad: bad)
+                with pytest.raises(ConsistencyError):
+                    realized_matrix(alpha, beta, table_p3)
+                monkeypatch.setattr(op_calculus, "elementary_realize", real)
 
 
 def test_stable_generators_counts():
