@@ -383,7 +383,7 @@ class EtaRTable:
                     )
                     terms[key] = coeff
                 table._store(gamma, GradedPoly(table.p, terms))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed cache document: {exc}") from exc
         expected = {
             g for r in range(table.max_weight + 1) for g in enumerate_weight(r, table.p)

@@ -52,7 +52,7 @@ from .monomial_order import (
     sort_key,
     unit_exp,
 )
-from .op_calculus import ConsistencyError, default_caps, mu_matrix, realized_matrix
+from .op_calculus import ConsistencyError, default_caps, mu_matrix, realizations
 from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError("N must satisfy 0 <= N <= max-weight")
         if not self.heights or any(n < 1 for n in self.heights):
             raise ConfigError("heights must be positive integers")
+        if len(set(self.heights)) != len(self.heights):
+            raise ConfigError(f"heights must not repeat, got {list(self.heights)}")
         if self.fmt not in ("json", "csv", "markdown"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.margin < 1:
@@ -226,22 +228,15 @@ def suite_realize(config: RunConfig, table: EtaRTable) -> list[dict]:
     checks: list[dict] = []
     p = config.p
     for r in range(config.max_weight + 1):
-        basis = tuple(enumerate_weight(r, p))
-        ok = True
-        valuations = {}
-        first_bad = ""
-        for alpha in basis:
-            for beta in basis:
-                try:
-                    mu_bar, _ = realized_matrix(alpha, beta, table)
-                    valuations[str(beta)] = valuation(mu_bar, p)
-                except ConsistencyError:
-                    ok = False
-                    first_bad = first_bad or f"pair=({alpha},{beta})"
-        witness = "mu_bar valuations by column: " + json.dumps(valuations)
-        if first_bad:
-            witness += "; " + first_bad
-        _check(checks, f"realize/w={r}", ok, witness)
+        try:
+            columns = realizations(r, table)
+        except ConsistencyError as exc:
+            _check(checks, f"realize/w={r}", False, str(exc))
+            continue
+        valuations = {str(beta): valuation(mu_bar, p)
+                      for beta, (mu_bar, _) in columns.items()}
+        _check(checks, f"realize/w={r}", True,
+               "mu_bar valuations by column: " + json.dumps(valuations))
     return checks
 
 

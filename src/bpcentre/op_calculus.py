@@ -10,21 +10,36 @@ each weight.
 The family phi(alpha, beta) (value v^alpha on t^beta, zero elsewhere) spans
 the degree-zero functionals weightwise.  Their matrices are triangular with
 respect to the right-lex order, which makes any single elementary matrix
-realizable up to a p-power scalar: :func:`elementary_realize` solves for the
-combination exactly.
+realizable up to a p-power scalar.  The combination depends on the column
+alone: :func:`realizations` solves and verifies it once per column and table.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
 from .dvr_arith import is_integral, mat_mul, valuation
 from .monomial_order import Exp, enumerate_weight, normalize, weight
 
-_MU_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
+_PER_TABLE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
+
+
+def per_table(fn):
+    """Memoize fn(*args, table) while the table, its last positional
+    argument, lives; a call that raises stores nothing."""
+    @functools.wraps(fn)
+    def memoized(*args):
+        memo = _PER_TABLE.setdefault(args[-1], {})
+        key = (fn, *args[:-1])
+        if key not in memo:
+            memo[key] = fn(*args)
+        return memo[key]
+    return memoized
 
 
 class ConsistencyError(RuntimeError):
@@ -126,15 +141,6 @@ class DegreeMatrix:
     def commutes_with(self, other: "DegreeMatrix") -> bool:
         return (self * other).entries == (other * self).entries
 
-    def restrict(self, indices) -> "DegreeMatrix":
-        idx = tuple(indices)
-        return DegreeMatrix(
-            self.p,
-            self.r,
-            tuple(self.basis[i] for i in idx),
-            tuple(tuple(self.entries[i][j] for j in idx) for i in idx),
-        )
-
     def is_scalar(self):
         """The scalar c with entries == c*I, or None."""
         c = self.entries[0][0] if self.size else Fraction(0)
@@ -155,22 +161,18 @@ def scalar_matrix(p: int, r: int, basis, c) -> DegreeMatrix:
     return DegreeMatrix(p, r, basis, entries)
 
 
+@per_table
 def mu_matrix(r: int, table: EtaRTable):
     """Pure-t coefficient scalars mu[i][j] = <t^basis[j]> eta_R(v^basis[i]).
 
-    Lower triangular with diagonal p^(sum of exponents); cached per table.
+    Lower triangular with diagonal p^(sum of exponents).
     """
-    per_table = _MU_CACHE.setdefault(table, {})
-    if r in per_table:
-        return per_table[r]
     basis = tuple(enumerate_weight(r, table.p))
     rows = []
     for gamma in basis:
         pure = table.eta(gamma).pure_t_terms()
         rows.append(tuple(pure.get(beta, Fraction(0)) for beta in basis))
-    result = (basis, tuple(rows))
-    per_table[r] = result
-    return result
+    return basis, tuple(rows)
 
 
 def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> DegreeMatrix:
@@ -230,40 +232,65 @@ def adams_matrix(p: int, k, r: int, size: int | None = None) -> DegreeMatrix:
     return scalar_matrix(p, r, basis, adams_sequence(p, k, r)[r])
 
 
+def solve_column(basis, mu, b: int, p: int):
+    """(mu_bar, coefficients) with sum_gamma coefficients[gamma] * mu[j][gamma]
+    = mu_bar * e_b: forward substitution of mu . x = e_b (mu[i][j] = 0 for
+    i < j), scaled by the least p-power mu_bar that makes x p-integral."""
+    x: list[Fraction] = []
+    for i, row in enumerate(mu):
+        if row[i] == 0:
+            raise ConsistencyError(f"vanishing diagonal mu at {basis[i]}")
+        rhs = Fraction(1 if i == b else 0)  # x holds x_0 .. x_(i-1)
+        x.append((rhs - sum((c * y for c, y in zip(row, x)), Fraction(0))) / row[i])
+
+    s = -min(valuation(c, p) for c in x if c != 0)
+    if s < 0:
+        raise ConsistencyError("realization scale has negative p-exponent")
+    scale = Fraction(p) ** s
+    return scale, {basis[j]: scale * x[j] for j in range(len(basis)) if x[j] != 0}
+
+
+@per_table
+def realizations(r: int, table: EtaRTable):
+    """{beta: (mu_bar, ((gamma, c_gamma), ...))} over the weight-r basis,
+    each column solved by :func:`solve_column` and verified exactly.
+
+    sum_gamma c_gamma * M(alpha, gamma) vanishes outside row alpha, where
+    its entry in column j is sum_gamma c_gamma * mu[j][gamma] for every
+    alpha.  That row must be mu_bar * e_beta, mu_bar non-zero and every c
+    p-integral, else ConsistencyError; then it is mu_bar * E_(alpha, beta).
+    """
+    p = table.p
+    basis, mu = mu_matrix(r, table)
+    index = {gamma: i for i, gamma in enumerate(basis)}
+    result = {}
+    for b, beta in enumerate(basis):
+        mu_bar, coeffs = solve_column(basis, mu, b, p)
+        terms = [(index[gamma], c) for gamma, c in coeffs.items()]
+        row = [sum((c * mu_j[g] for g, c in terms), Fraction(0)) for mu_j in mu]
+        if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
+                or any(x != (mu_bar if j == b else 0) for j, x in enumerate(row))):
+            raise ConsistencyError(f"realized combination for column {beta} is not "
+                                   f"{mu_bar}*e_{beta} in weight {r}")
+        result[beta] = (mu_bar, tuple(coeffs.items()))
+    return MappingProxyType(result)
+
+
 def elementary_realize(alpha, beta, table: EtaRTable):
     """Combination of the phi(alpha, gamma) acting as a multiple of E_(alpha,beta).
 
     Returns (mu_bar, coefficients) with mu_bar a p-power and the coefficients
     p-integral with at least one unit, such that
     sum_gamma coefficients[gamma] * M(alpha, gamma) = mu_bar * E_(alpha, beta)
-    exactly on the full weight basis.  Solvable because the mu matrix is
-    non-singular lower triangular.
+    exactly on the full weight basis, read from :func:`realizations`.
     """
     p = table.p
     alpha, beta = normalize(alpha), normalize(beta)
     r = weight(alpha, p)
     if weight(beta, p) != r:
         raise ValueError("alpha and beta must have equal weight")
-    basis, mu = mu_matrix(r, table)
-    b = basis.index(beta)
-
-    # Forward-substitute mu . x = e_b; mu[i][j] = 0 for i < j.
-    x = [Fraction(0)] * len(basis)
-    for i in range(len(basis)):
-        if mu[i][i] == 0:
-            raise ConsistencyError(f"vanishing diagonal mu at {basis[i]} in weight {r}")
-        rhs = Fraction(1 if i == b else 0)
-        rhs -= sum((mu[i][j] * x[j] for j in range(i)), Fraction(0))
-        x[i] = rhs / mu[i][i]
-
-    s = -min(valuation(c, p) for c in x if c != 0)
-    if s < 0:
-        raise ConsistencyError("realization scale has negative p-exponent")
-    scale = Fraction(p) ** s
-    coefficients = {
-        basis[j]: scale * x[j] for j in range(len(basis)) if x[j] != 0
-    }
-    return scale, coefficients
+    mu_bar, coefficients = realizations(r, table)[beta]
+    return mu_bar, dict(coefficients)
 
 
 def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> DegreeMatrix:
@@ -278,36 +305,6 @@ def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> DegreeMatrix:
         for i in range(len(basis))
     )
     return DegreeMatrix(p, r, basis, entries)
-
-
-def realized_matrix(alpha, beta, table: EtaRTable):
-    """(mu_bar, matrix) for :func:`elementary_realize`, verified exactly.
-
-    The realized combination sum_gamma c_gamma * M(alpha, gamma) vanishes
-    outside row alpha, where its entry in column j is
-    sum_gamma c_gamma * mu[j][gamma].  That row must be mu_bar * e_beta with
-    mu_bar non-zero and every coefficient p-integral, else ConsistencyError;
-    the matrix is then mu_bar * E_(alpha, beta) on the full weight basis.
-    """
-    p = table.p
-    alpha, beta = normalize(alpha), normalize(beta)
-    r = weight(alpha, p)
-    mu_bar, coeffs = elementary_realize(alpha, beta, table)
-    basis, mu = mu_matrix(r, table)
-    index = {gamma: i for i, gamma in enumerate(basis)}
-    terms = [(index[gamma], c) for gamma, c in coeffs.items()]
-    row = tuple(sum((c * mu_j[g] for g, c in terms), Fraction(0)) for mu_j in mu)
-    zero = (Fraction(0),) * len(basis)
-    expected = list(zero)
-    expected[index[beta]] = mu_bar
-    if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
-            or row != tuple(expected)):
-        raise ConsistencyError(
-            f"realized combination for ({alpha}, {beta}) is not "
-            f"{mu_bar}*E in weight {r}"
-        )
-    entries = tuple(row if i == index[alpha] else zero for i in range(len(basis)))
-    return mu_bar, DegreeMatrix(p, r, basis, entries)
 
 
 def stable_generators(p: int, max_weight: int) -> list[OpFunctional]:

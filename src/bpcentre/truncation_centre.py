@@ -18,7 +18,6 @@ echelon form).
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +25,7 @@ from functools import lru_cache
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
     DvrLattice,
+    commutant,
     echelon_lattice,
     integral_kernel,
     is_integral,
@@ -37,13 +37,10 @@ from .op_calculus import (
     DegreeMatrix,
     adams_sequence,
     default_caps,
-    realized_matrix,
+    per_table,
+    realizations,
     scalar_matrix,
 )
-
-# Per-table caches: phi action entries by weight, phi window lattices by (N, n).
-_ACTIONS_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
-_PHI_WINDOW_CACHE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -85,17 +82,23 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Degre
 
     The realized combination acts on the full weight-r basis as a p-power
     multiple of a single elementary matrix, killing every J column, so it
-    descends to the truncation; the descent is its R-restriction.  The full
-    matrix identity is verified by :func:`realized_matrix` before restricting.
+    descends to the truncation: mu_bar * E_(alpha, beta) on the R basis, with
+    mu_bar from :func:`realizations`.
     """
     p = table.p
     alpha, beta = normalize(alpha), normalize(beta)
     split = block_split(r, n, p)
-    if alpha not in split.r_basis or beta not in split.r_basis:
+    r_basis = split.r_basis
+    if alpha not in r_basis or beta not in r_basis:
         raise ValueError(f"{alpha} and {beta} must avoid the height-{n} ideal")
 
-    _, combined = realized_matrix(alpha, beta, table)
-    return combined.restrict(split.r_indices)
+    mu_bar = realizations(r, table)[beta][0]
+    cell = (r_basis.index(alpha), r_basis.index(beta))
+    entries = tuple(
+        tuple(mu_bar if (i, j) == cell else Fraction(0) for j in range(len(r_basis)))
+        for i in range(len(r_basis))
+    )
+    return DegreeMatrix(p, r, r_basis, entries)
 
 
 def centre_commutant(r: int, n: int, table: EtaRTable):
@@ -105,15 +108,13 @@ def centre_commutant(r: int, n: int, table: EtaRTable):
     of every R-block elementary matrix, so the commutant is the scalars:
     rank 1 whenever the block is non-empty.
     """
-    from .dvr_arith import commutant as dvr_commutant
-
     split = block_split(r, n, table.p)
     mats = [
         projected_elementary(a, b, r, n, table).entries
         for a in split.r_basis
         for b in split.r_basis
     ]
-    basis = dvr_commutant(mats, len(split.r_basis), table.p)
+    basis = commutant(mats, len(split.r_basis), table.p)
     return len(basis), basis
 
 
@@ -129,17 +130,15 @@ def default_adams_keys(p: int, max_weight: int, caps=None, q: int | None = None)
     return keys
 
 
+@per_table
 def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fraction]]:
     """{(i, j): {generator: entry}}, the non-zero weight-r action entries of
     every phi(alpha, beta), indexed in :func:`stable_generators` order.
 
     One pass over eta_R: its term c v^a t^beta in column gamma is the entry
     of phi(alpha, beta) in row a + alpha for every alpha of the weight of
-    beta.  Agrees with :func:`action_matrix`; cached per table.
+    beta.  Agrees with :func:`action_matrix`.
     """
-    per_table = _ACTIONS_CACHE.setdefault(table, {})
-    if r in per_table:
-        return per_table[r]
     p = table.p
     bases = [tuple(enumerate_weight(s, p)) for s in range(r + 1)]
     offsets = [0]
@@ -155,20 +154,17 @@ def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fra
             for ia, alpha in enumerate(src):
                 cell = entries.setdefault((index[add(a, alpha)], j), {})
                 cell[first + ia * len(src)] = c
-    per_table[r] = entries
     return entries
 
 
+@per_table
 def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     """Lattice L_phi of the windows realized by the phi generators alone.
 
     As :func:`diagonal_window_lattice` without the Adams family: the mu
     projection of the saturated integral kernel of one exact linear system
-    over all weights r <= N; cached per table.
+    over all weights r <= N.
     """
-    per_table = _PHI_WINDOW_CACHE.setdefault(table, {})
-    if (N, n) in per_table:
-        return per_table[N, n]
     p = table.p
     if N > table.max_weight:
         raise ValueError("window bound exceeds the table bound")
@@ -192,9 +188,7 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
                 rows.append(row)
 
     kernel = integral_kernel(rows, n_vars, p)
-    lattice = echelon_lattice(p, [vec[n_gen:] for vec in kernel], N + 1)
-    per_table[N, n] = lattice
-    return lattice
+    return echelon_lattice(p, [vec[n_gen:] for vec in kernel], N + 1)
 
 
 @lru_cache(maxsize=64)
@@ -204,12 +198,7 @@ def adams_window_lattice(p: int, N: int, adams_keys: tuple[int, ...]) -> DvrLatt
 
 
 def diagonal_window_lattice(
-    N: int,
-    n: int,
-    table: EtaRTable,
-    adams_keys=None,
-    caps=None,
-    q: int | None = None,
+    N: int, n: int, table: EtaRTable, caps=None, q: int | None = None
 ) -> DvrLattice:
     """Lattice of scalar windows (mu_0, ..., mu_N) of realizable diagonals.
 
@@ -228,10 +217,9 @@ def diagonal_window_lattice(
     :func:`adams_window_lattice`.
     """
     p = table.p
-    if adams_keys is None:
-        adams_keys = default_adams_keys(p, N, caps=caps, q=q)
+    keys = tuple(default_adams_keys(p, N, caps=caps, q=q))
     phi = phi_window_lattice(N, n, table)
-    adams = adams_window_lattice(p, N, tuple(adams_keys))
+    adams = adams_window_lattice(p, N, keys)
     return echelon_lattice(p, phi.basis + adams.basis, N + 1)
 
 

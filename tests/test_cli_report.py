@@ -35,6 +35,8 @@ def test_config_validation():
         RunConfig(heights=())
     with pytest.raises(ConfigError):
         RunConfig(fmt="yaml")
+    with pytest.raises(ConfigError):
+        RunConfig(heights=(1, 2, 1))
 
 
 def test_eta_table_build_and_cache_hit(tmp_path, capsys):
@@ -170,13 +172,20 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_corrupt_cache_fails_closed(tmp_path, capsys):
+    from bpcentre.bp_hopf import EtaRTable
+
+    zero_denominator = EtaRTable(3, 3).populate().to_payload()
+    zero_denominator["entries"][1]["terms"][0]["coefficient_denominator"] = "0"
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
-    (cache_dir / "etaR_p3_hazewinkel_w3.json").write_text("{\"prime\": 3}")
-    code, out = run_cli(capsys, ["eta-table", "--p", "3", "--max-weight", "3",
-                                 "--cache", str(cache_dir)])
-    assert code == 1
-    assert "FAIL cache" in out
+    path = cache_dir / "etaR_p3_hazewinkel_w3.json"
+    for document in ({"prime": 3}, zero_denominator):
+        path.write_text(json.dumps(document))
+        for command in (["eta-table"], ["verify", "all"], ["lattices"]):
+            code, out = run_cli(capsys, command + ["--p", "3", "--max-weight", "3",
+                                                   "--cache", str(cache_dir)])
+            assert code == 1
+            assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
 
 
 def test_build_config_window_defaults():
@@ -312,17 +321,23 @@ def test_block_order_check_can_fail(tmp_path, capsys, monkeypatch):
         assert "block order violated in weight 4" in checks[check_id]["witness"]
 
 
-def test_bad_realization_fails_centre(tmp_path, capsys, monkeypatch):
+def perturb_column_solves(monkeypatch):
+    """Add 1 to the first coefficient of every column solve."""
     from bpcentre import op_calculus
 
-    real = op_calculus.elementary_realize
+    real = op_calculus.solve_column
 
-    def perturbed(alpha, beta, table):
-        mu_bar, coeffs = real(alpha, beta, table)
+    def perturbed(*args):
+        mu_bar, coeffs = real(*args)
         first = next(iter(coeffs))
         return mu_bar, {**coeffs, first: coeffs[first] + 1}
 
-    monkeypatch.setattr(op_calculus, "elementary_realize", perturbed)
+    monkeypatch.setattr(op_calculus, "solve_column", perturbed)
+
+
+def test_bad_realization_fails_centre(tmp_path, capsys, monkeypatch):
+    # The CLI builds a fresh table, so no verified realization is memoized.
+    perturb_column_solves(monkeypatch)
     argv = ["verify", "centre", "--p", "3", "--max-weight", "4", "--heights", "1,2",
             "--format", "json", "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, argv)
@@ -334,3 +349,36 @@ def test_bad_realization_fails_centre(tmp_path, capsys, monkeypatch):
         assert check["status"] == expected, check
         if expected == "FAIL":
             assert "realized combination" in check["witness"]
+
+
+def test_bad_realization_fails_realize(tmp_path, capsys, monkeypatch):
+    perturb_column_solves(monkeypatch)
+    argv = ["verify", "realize", "--p", "3", "--max-weight", "4",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    assert [c["id"] for c in checks] == [f"realize/w={r}" for r in range(5)]
+    for check in checks:
+        assert check["status"] == "FAIL", check
+        assert "realized combination for column" in check["witness"]
+
+
+def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
+    from bpcentre import op_calculus
+    from bpcentre.monomial_order import enumerate_weight
+
+    real = op_calculus.solve_column
+    columns = []
+
+    def counted(basis, mu, b, p):
+        columns.append(basis[b])
+        return real(basis, mu, b, p)
+
+    monkeypatch.setattr(op_calculus, "solve_column", counted)
+    argv = ["verify", "all", "--p", "3", "--max-weight", "8", "--N", "4",
+            "--heights", "1,2,3", "--format", "json", "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    expected = [beta for r in range(9) for beta in enumerate_weight(r, 3)]
+    assert sorted(columns) == sorted(expected)
+    assert len(columns) == len(set(columns)) == 15

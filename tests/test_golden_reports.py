@@ -1,0 +1,38 @@
+"""Report bytes are pinned: two configurations in every format.
+
+Each file under ``tests/data`` is the standard output of one command run in
+an empty directory with ``--cache cache``, so its cache section reads
+``status: written`` and the relative cache path.  To regenerate one, run
+for example::
+
+    python -m bpcentre verify all --p 3 --max-weight 8 --N 4 --heights 1,2,3 \\
+        --format json --cache cache > tests/data/verify_p3_w8.json
+
+in an empty directory, with ``src`` on the Python path.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bpcentre.cli_report import main
+
+DATA = Path(__file__).resolve().parent / "data"
+
+CONFIGS = {
+    "verify_p3_w8": ["verify", "all", "--p", "3", "--max-weight", "8", "--N", "4",
+                     "--heights", "1,2,3"],
+    "lattices_p5_w8": ["lattices", "--p", "5", "--max-weight", "8", "--N", "4",
+                       "--heights", "1,2"],
+}
+FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", CONFIGS)
+def test_report_bytes_match_golden(name, fmt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main(CONFIGS[name] + ["--format", fmt, "--cache", "cache"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == (DATA / f"{name}.{FORMATS[fmt]}").read_bytes()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpcentre.bp_hopf import GradedPoly
+from bpcentre.bp_hopf import EtaRTable, GradedPoly
 from bpcentre.monomial_order import enumerate_weight, weight
 from bpcentre.op_calculus import (
     ConsistencyError,
@@ -15,7 +15,7 @@ from bpcentre.op_calculus import (
     mu_matrix,
     phi_alpha_beta,
     phi_beta,
-    realized_matrix,
+    realizations,
     stable_generators,
 )
 
@@ -109,6 +109,8 @@ def test_elementary_realize_examples(table_p3):
     mu_bar, coeffs = elementary_realize((4,), (0, 1), table_p3)
     assert mu_bar == 3
     assert coeffs == {(0, 1): Fraction(1)}
+    coeffs.clear()  # a fresh dict: the memoized realization is unchanged
+    assert elementary_realize((4,), (0, 1), table_p3) == (3, {(0, 1): Fraction(1)})
 
     mu_bar, coeffs = elementary_realize((1,), (1,), table_p3)
     assert mu_bar == 3
@@ -156,22 +158,31 @@ def test_realization_soundness(table_p3):
 
 
 def test_realized_matrix_rejects_perturbed_coefficients(table_p3, monkeypatch):
-    # Every single-coefficient perturbation of a realization is detected.
+    # Every single-coefficient perturbation of a column solve is detected.
+    # The fresh table has no verified realizations memoized, and a failed
+    # verification memoizes nothing, so every perturbed solve is checked.
     from bpcentre import op_calculus
 
-    real = op_calculus.elementary_realize
+    fresh = EtaRTable(3, 5).populate()
+    real = op_calculus.solve_column
     for r in range(6):
-        basis = enumerate_weight(r, 3)
+        basis, mu = mu_matrix(r, table_p3)
         for alpha, beta in itertools.product(basis, repeat=2):
-            mu_bar, coeffs = real(alpha, beta, table_p3)
-            assert realized_matrix(alpha, beta, table_p3)[0] == mu_bar
+            b = basis.index(beta)
+            mu_bar, coeffs = real(basis, mu, b, 3)
+            assert elementary_realize(alpha, beta, table_p3)[0] == mu_bar
             for gamma in coeffs:
-                bad = (mu_bar, {**coeffs, gamma: coeffs[gamma] + 1})
-                monkeypatch.setattr(op_calculus, "elementary_realize",
-                                    lambda *_args, bad=bad: bad)
+                def perturbed(basis_, mu_, b_, p, gamma=gamma):
+                    solved = real(basis_, mu_, b_, p)
+                    if b_ != b:
+                        return solved
+                    return solved[0], {**solved[1], gamma: solved[1][gamma] + 1}
+
+                monkeypatch.setattr(op_calculus, "solve_column", perturbed)
                 with pytest.raises(ConsistencyError):
-                    realized_matrix(alpha, beta, table_p3)
-                monkeypatch.setattr(op_calculus, "elementary_realize", real)
+                    elementary_realize(alpha, beta, fresh)
+                monkeypatch.setattr(op_calculus, "solve_column", real)
+        assert realizations(r, fresh) == realizations(r, table_p3)
 
 
 def test_stable_generators_counts():
@@ -197,9 +208,3 @@ def test_action_matrices_are_integral(table_p3):
                 for x in row:
                     assert x.denominator % 3 != 0
 
-
-def test_degree_matrix_restrict(table_p3):
-    m = action_matrix(phi_alpha_beta(3, (4,), (4,)), 4, table_p3)
-    sub = m.restrict([0])
-    assert sub.basis == ((4,),)
-    assert sub.entries == ((Fraction(81),),)
