@@ -103,14 +103,6 @@ class GradedPoly:
     def v_mono(cls, p: int, alpha: Exp, coeff=1) -> "GradedPoly":
         return cls(p, {(normalize(alpha), (), ()): Fraction(coeff)})
 
-    @classmethod
-    def t_mono(cls, p: int, beta: Exp, coeff=1) -> "GradedPoly":
-        return cls(p, {((), normalize(beta), ()): Fraction(coeff)})
-
-    @classmethod
-    def m_mono(cls, p: int, mu: Exp, coeff=1) -> "GradedPoly":
-        return cls(p, {((), (), normalize(mu)): Fraction(coeff)})
-
     # -- ring structure -----------------------------------------------
 
     def is_zero(self) -> bool:
@@ -125,23 +117,44 @@ class GradedPoly:
 
     __hash__ = None
 
+    @classmethod
+    def _trusted(cls, p: int, terms: dict, weight) -> "GradedPoly":
+        """Unchecked: normalised keys, non-zero coefficients, one weight."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "p", p)
+        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "weight", weight if terms else None)
+        return poly
+
+    @classmethod
+    def sum(cls, p: int, polys) -> "GradedPoly":
+        """The sum of polynomials of one weight, accumulated in one dict."""
+        out: dict[Mono, Fraction] = {}
+        weights = set()
+        for poly in polys:
+            if poly.p != p:
+                raise ValueError("mixed primes")
+            weights.add(poly.weight)
+            for key, c in poly.terms.items():
+                out[key] = out.get(key, 0) + c
+        weights.discard(None)
+        if len(weights) > 1:
+            raise ValueError(f"inhomogeneous terms: weights {sorted(weights)}")
+        return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None))
+
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return GradedPoly(self.p, out)
+        return GradedPoly.sum(self.p, (self, other))
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.p, {k: -c for k, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return GradedPoly(self.p, {k: c * other for k, c in self.terms.items()})
+            terms = {k: c * other for k, c in self.terms.items()} if other else {}
+            return GradedPoly._trusted(self.p, terms, self.weight)
         if not isinstance(other, GradedPoly):
             return NotImplemented
         if self.p != other.p:
@@ -150,8 +163,10 @@ class GradedPoly:
         for (v1, t1, m1), c1 in self.terms.items():
             for (v2, t2, m2), c2 in other.terms.items():
                 key = (add(v1, v2), add(t1, t2), add(m1, m2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return GradedPoly(self.p, out)
+                out[key] = out.get(key, 0) + c1 * c2
+        terms = {k: c for k, c in out.items() if c}
+        w = self.weight + other.weight if terms else None
+        return GradedPoly._trusted(self.p, terms, w)
 
     __rmul__ = __mul__
 
@@ -210,11 +225,10 @@ class GradedPoly:
 
 def check_integrality(poly: GradedPoly):
     """Whether every coefficient lies in Z_(p); offenders listed if not."""
-    offenders = [
-        (key, coeff)
-        for key, coeff in sorted(poly.terms.items(), key=lambda kv: mono_sort_key(kv[0]))
-        if valuation(coeff, poly.p) < 0
-    ]
+    offenders = sorted(
+        ((key, coeff) for key, coeff in poly.terms.items() if valuation(coeff, poly.p) < 0),
+        key=lambda kv: mono_sort_key(kv[0]),
+    )
     return (not offenders), offenders
 
 
@@ -230,34 +244,35 @@ def hazewinkel_m(p: int, k: int) -> GradedPoly:
         raise ValueError("index must be non-negative")
     if k == 0:
         return GradedPoly.const(p, 1)
-    acc = GradedPoly.zero(p)
-    for i in range(k):
-        acc = acc + hazewinkel_m(p, i) * GradedPoly.v_mono(p, unit_exp(k - i)) ** (p**i)
-    return acc * Fraction(1, p)
+    return GradedPoly.sum(p, (
+        hazewinkel_m(p, i) * GradedPoly.v_mono(p, unit_exp(k - i)) ** (p**i)
+        for i in range(k)
+    )) * Fraction(1, p)
 
 
 def _eta_of_m(p: int, k: int) -> GradedPoly:
     # eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i}, with m_0 = t_0 = 1.
-    acc = GradedPoly.zero(p)
-    for i in range(k + 1):
-        j = k - i
-        mi = GradedPoly.const(p, 1) if i == 0 else GradedPoly.m_mono(p, unit_exp(i))
-        tj = GradedPoly.const(p, 1) if j == 0 else GradedPoly.t_mono(p, unit_exp(j))
-        acc = acc + mi * tj ** (p**i)
-    return acc
+    return GradedPoly(p, {
+        ((), (0,) * (k - i - 1) + (p**i,) if i < k else (), unit_exp(i) if i else ()): 1
+        for i in range(k + 1)
+    })
 
 
 def substitute_m(poly: GradedPoly) -> GradedPoly:
-    """Rewrite every m generator as its v-polynomial."""
+    """Rewrite every m generator as its v-polynomial, expanding each product
+    of m generators once for all the terms that share it."""
     p = poly.p
-    out = GradedPoly.zero(p)
+    groups: dict[Exp, dict[Mono, Fraction]] = {}
     for (v, t, m), c in poly.terms.items():
-        factor = GradedPoly(p, {(v, t, ()): c})
+        groups.setdefault(m, {})[(v, t, ())] = c
+    factors = []
+    for m, terms in groups.items():
+        factor = GradedPoly._trusted(p, terms, poly.weight - weight(m, p))
         for i, e in enumerate(m, start=1):
             if e:
                 factor = factor * hazewinkel_m(p, i) ** e
-        out = out + factor
-    return out
+        factors.append(factor)
+    return GradedPoly.sum(p, factors)
 
 
 class EtaRTable:
@@ -298,9 +313,9 @@ class EtaRTable:
 
     def _eta_generator(self, k: int) -> GradedPoly:
         p = self.p
-        expr = _eta_of_m(p, k) * p
-        for i in range(1, k):
-            expr = expr - _eta_of_m(p, i) * self.eta(unit_exp(k - i)) ** (p**i)
+        expr = GradedPoly.sum(p, [_eta_of_m(p, k) * p] + [
+            -_eta_of_m(p, i) * self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)
+        ])
         return substitute_m(expr)
 
     def eta(self, gamma) -> GradedPoly:
@@ -320,9 +335,7 @@ class EtaRTable:
             poly = self._eta_generator(len(gamma))
         else:
             top = unit_exp(len(gamma))
-            rest = normalize(
-                tuple(e - (1 if i == len(gamma) - 1 else 0) for i, e in enumerate(gamma))
-            )
+            rest = normalize(gamma[:-1] + (gamma[-1] - 1,))
             poly = self.eta(rest) * self.eta(top)
         return self._store(gamma, poly)
 
@@ -370,18 +383,12 @@ class EtaRTable:
                         payload["convention"])
             for entry in payload["entries"]:
                 gamma = normalize(tuple(entry["v_exponents"]))
-                terms = {}
-                for term in entry["terms"]:
-                    key = (
-                        tuple(term["v_exponents"]),
-                        tuple(term["t_exponents"]),
-                        (),
-                    )
-                    coeff = Fraction(
-                        int(term["coefficient_numerator"]),
-                        int(term["coefficient_denominator"]),
-                    )
-                    terms[key] = coeff
+                terms = {
+                    (tuple(term["v_exponents"]), tuple(term["t_exponents"]), ()):
+                        Fraction(int(term["coefficient_numerator"]),
+                                 int(term["coefficient_denominator"]))
+                    for term in entry["terms"]
+                }
                 table._store(gamma, GradedPoly(table.p, terms))
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed cache document: {exc}") from exc
@@ -393,7 +400,26 @@ class EtaRTable:
         return table
 
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.to_payload(), indent=2) + "\n").encode("utf-8")
+        """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly."""
+        self.populate()
+        entries = []
+        for gamma in self.keys():
+            terms = self._cache[gamma].terms
+            keys = sorted(terms, key=mono_sort_key)
+            assert not any(m for _, _, m in keys)
+            rows = [
+                f'{{\n          "v_exponents": {_json_list(v, 10)},\n'
+                f'          "t_exponents": {_json_list(t, 10)},\n'
+                f'          "coefficient_numerator": "{terms[v, t, m].numerator}",\n'
+                f'          "coefficient_denominator": "{terms[v, t, m].denominator}"\n        }}'
+                for v, t, m in keys
+            ]
+            entries.append(f'{{\n      "v_exponents": {_json_list(gamma, 6)},\n'
+                           f'      "terms": {_json_list(rows, 6)}\n    }}')
+        return (
+            f'{{\n  "prime": {self.p},\n  "convention": {json.dumps(self.convention)},\n'
+            f'  "max_weight": {self.max_weight},\n  "entries": {_json_list(entries, 2)}\n}}\n'
+        ).encode("utf-8")
 
     def save(self, path) -> bytes:
         """Write the serialized table beside path, then move it over path, so
@@ -424,6 +450,15 @@ class EtaRTable:
 
     def fingerprint(self) -> str:
         return fingerprint_bytes(self.to_bytes())
+
+
+def _json_list(items, indent: int) -> str:
+    """A JSON array of integers or of already encoded items, laid out as by
+    ``json.dumps`` with ``indent=2`` at the given depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    return "[" + pad + ("," + pad).join(map(str, items)) + "\n" + " " * indent + "]"
 
 
 def fingerprint_bytes(data: bytes) -> str:

@@ -251,11 +251,12 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
                 split = block_split(r, n, config.p)
             except ConsistencyError as exc:
                 _check(checks, f"block-order/n={n}/w={r}", False, str(exc))
-            else:
-                _check(checks, f"block-order/n={n}/w={r}", True,
-                       f"|R|={len(split.r_indices)} |J|={len(split.j_indices)}")
+                _check(checks, f"centre/n={n}/w={r}", False, str(exc))
+                continue
+            _check(checks, f"block-order/n={n}/w={r}", True,
+                   f"|R|={len(split.r_indices)} |J|={len(split.j_indices)}")
             try:
-                rank, basis = centre_commutant(r, n, table)
+                rank, basis = centre_commutant(r, n, table, split)
             except ConsistencyError as exc:
                 _check(checks, f"centre/n={n}/w={r}", False, str(exc))
                 continue

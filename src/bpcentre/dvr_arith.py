@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 INFINITY = math.inf
 
@@ -19,6 +20,7 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 
+@lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"{p} is not prime")
@@ -37,7 +39,8 @@ def valuation(x, p: int):
     always have valuation >= 0.
     """
     _check_prime(p)
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
     if x == 0:
         return INFINITY
     v = 0

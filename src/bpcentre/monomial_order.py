@@ -55,10 +55,11 @@ def sort_key(a: Exp):
 
 def add(a: Exp, b: Exp) -> Exp:
     """Placewise sum, so that v^a * v^b = v^(a+b)."""
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return tuple(a)
+    return tuple(map(int.__add__, a, b)) + tuple(a[len(b):])
 
 
 def generator_weight(i: int, p: int) -> int:

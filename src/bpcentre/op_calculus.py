@@ -188,11 +188,10 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> DegreeMatrix:
     index = {alpha: i for i, alpha in enumerate(basis)}
     cols = []
     for gamma in basis:
-        image = GradedPoly.zero(p)
-        for beta, value in op.support:
-            if weight(beta, p) > r:
-                continue
-            image = image + value * coefficient_of_t(gamma, beta, table)
+        image = GradedPoly.sum(p, (
+            value * coefficient_of_t(gamma, beta, table)
+            for beta, value in op.support if weight(beta, p) <= r
+        ))
         col = [Fraction(0)] * len(basis)
         for (v, t, m), c in image.terms.items():
             if t or m or v not in index:

@@ -85,36 +85,35 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Degre
     descends to the truncation: mu_bar * E_(alpha, beta) on the R basis, with
     mu_bar from :func:`realizations`.
     """
-    p = table.p
     alpha, beta = normalize(alpha), normalize(beta)
-    split = block_split(r, n, p)
-    r_basis = split.r_basis
+    r_basis = block_split(r, n, table.p).r_basis
     if alpha not in r_basis or beta not in r_basis:
         raise ValueError(f"{alpha} and {beta} must avoid the height-{n} ideal")
+    return _elementary(r, r_basis, r_basis.index(alpha), r_basis.index(beta), table)
 
-    mu_bar = realizations(r, table)[beta][0]
-    cell = (r_basis.index(alpha), r_basis.index(beta))
+
+def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> DegreeMatrix:
+    """mu_bar * E_(a, b) on the weight-r R basis, for basis indices a and b."""
+    mu_bar = realizations(r, table)[r_basis[b]][0]
+    size = range(len(r_basis))
     entries = tuple(
-        tuple(mu_bar if (i, j) == cell else Fraction(0) for j in range(len(r_basis)))
-        for i in range(len(r_basis))
+        tuple(mu_bar if (i, j) == (a, b) else Fraction(0) for j in size) for i in size
     )
-    return DegreeMatrix(p, r, r_basis, entries)
+    return DegreeMatrix(table.p, r, r_basis, entries)
 
 
-def centre_commutant(r: int, n: int, table: EtaRTable):
+def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None = None):
     """Commutant of the realized elementary family on the R block.
 
     Returns (rank, basis matrices).  The family realizes a nonzero multiple
     of every R-block elementary matrix, so the commutant is the scalars:
-    rank 1 whenever the block is non-empty.
+    rank 1 whenever the block is non-empty.  A precomputed ``split`` of the
+    weight and height is used as it is.
     """
-    split = block_split(r, n, table.p)
-    mats = [
-        projected_elementary(a, b, r, n, table).entries
-        for a in split.r_basis
-        for b in split.r_basis
-    ]
-    basis = commutant(mats, len(split.r_basis), table.p)
+    r_basis = (split or block_split(r, n, table.p)).r_basis
+    size = range(len(r_basis))
+    mats = [_elementary(r, r_basis, a, b, table).entries for a in size for b in size]
+    basis = commutant(mats, len(r_basis), table.p)
     return len(basis), basis
 
 

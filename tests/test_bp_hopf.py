@@ -336,3 +336,132 @@ def test_cache_load_rejects_incomplete(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError):
         EtaRTable.load(path)
+
+
+# ---------------------------------------------------------------------------
+# the direct cache writer
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the cache documents pinned by the benchmark (bench/pins.json).
+PINNED_FINGERPRINTS = {
+    (3, 13): "73ce6a895686d82f285b44999f3257edb1d3b1d9d51b51e076dd6522f4d5c17e",
+    (3, 16): "c25337f6f7fa7bbfaed305dfa95edf9becd381549382d6b23545ad9e62d8db3b",
+    (3, 20): "f29bdb6ab2286b1ed83448d59ca59cc17d71da88388279509d67e988413c6ce7",
+    (5, 31): "2770de0c8204d3b2232c7507869592d515ebe5501f4b70d871c93d35f530e243",
+}
+
+
+@pytest.mark.parametrize("p,max_weight", [
+    (3, 0), (3, 1), (3, 13), (3, 20), (5, 0), (5, 14), (5, 31), (7, 20),
+])
+def test_direct_writer_matches_json_encoder(p, max_weight):
+    table = EtaRTable(p, max_weight).populate()
+    expected = (json.dumps(table.to_payload(), indent=2) + "\n").encode("utf-8")
+    assert table.to_bytes() == expected
+
+
+@pytest.mark.parametrize("p,max_weight", sorted(PINNED_FINGERPRINTS))
+def test_fingerprints_match_pins(p, max_weight, tmp_path):
+    table = EtaRTable(p, max_weight)
+    expected = PINNED_FINGERPRINTS[p, max_weight]
+    assert table.fingerprint() == expected
+    assert fingerprint_bytes(table.save(tmp_path / "cache.json")) == expected
+    assert EtaRTable.load(tmp_path / "cache.json").fingerprint() == expected
+
+
+# ---------------------------------------------------------------------------
+# trusted arithmetic: results agree with the validating constructor
+# ---------------------------------------------------------------------------
+
+def random_poly(rng, p, w, size):
+    """A random weight-w polynomial in v, t and m with up to size terms."""
+    terms = {}
+    for _ in range(size):
+        wv = rng.randint(0, w)
+        wt = rng.randint(0, w - wv)
+        key = tuple(rng.choice(enumerate_weight(part, p)) for part in (wv, wt, w - wv - wt))
+        terms[key] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, p, p * p]))
+    return GradedPoly(p, terms)
+
+
+def raw_sum(a, b, sign=1):
+    out = dict(a.terms)
+    for key, c in b.terms.items():
+        out[key] = out.get(key, Fraction(0)) + sign * c
+    return out
+
+
+def raw_product(a, b):
+    out = {}
+    for (v1, t1, m1), c1 in a.terms.items():
+        for (v2, t2, m2), c2 in b.terms.items():
+            key = (add(v1, v2), add(t1, t2), add(m1, m2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return out
+
+
+def same(result, expected):
+    """Equal terms and weight, and no zero coefficient kept."""
+    return (result == expected and result.weight == expected.weight
+            and all(c != 0 for c in result.terms.values()))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_trusted_arithmetic_matches_validating_constructor(p):
+    rng = random.Random(p)
+    for _ in range(60):
+        wa, wb = rng.randint(0, 6), rng.randint(0, 6)
+        a = random_poly(rng, p, wa, rng.randint(0, 6))
+        b = random_poly(rng, p, wb, rng.randint(0, 6))
+        a2 = random_poly(rng, p, wa, rng.randint(0, 6))
+        # a partial cancellation: a2 shares some of a's terms with opposite sign
+        a2 = a2 + GradedPoly(p, {k: -c for k, c in list(a.terms.items())[::2]})
+        assert same(a + a2, GradedPoly(p, raw_sum(a, a2)))
+        assert same(a - a2, GradedPoly(p, raw_sum(a, a2, -1)))
+        assert same(-a, GradedPoly(p, {k: -c for k, c in a.terms.items()}))
+        assert same(a * b, GradedPoly(p, raw_product(a, b)))
+        for scalar in (0, 1, -p, Fraction(2, p)):
+            expected = GradedPoly(p, {k: c * scalar for k, c in a.terms.items()})
+            assert same(a * scalar, expected) and same(scalar * a, expected)
+        n = rng.randint(0, 3)
+        expected = GradedPoly.const(p, 1)
+        for _ in range(n):
+            expected = GradedPoly(p, raw_product(expected, b))
+        assert same(b ** n, expected)
+    # (v_1 + t_1)(v_1 - t_1): the v_1 t_1 terms cancel
+    x = GradedPoly(p, {((1,), (), ()): 1, ((), (1,), ()): 1})
+    y = GradedPoly(p, {((1,), (), ()): 1, ((), (1,), ()): -1})
+    assert same(x * y, GradedPoly(p, raw_product(x, y)))
+    assert len((x * y).terms) == 2
+
+
+def test_sum_of_different_weights_raises_and_cancellation_is_zero():
+    a = GradedPoly(3, {((1,), (), ()): 1})
+    b = GradedPoly(3, {((2,), (), ()): 1})
+    for bad in (lambda: a + b, lambda: a - b, lambda: GradedPoly.sum(3, [a, b, a])):
+        with pytest.raises(ValueError):
+            bad()
+    c = GradedPoly(3, {((1,), (), ()): 2, ((), (1,), ()): 3})
+    for zero in (c - c, c + (-c), c * 0, GradedPoly.sum(3, [c, c, c * -2])):
+        assert zero.is_zero() and zero.weight is None
+        assert zero == GradedPoly.zero(3)
+    assert (a + GradedPoly.zero(3)).weight == 1
+    assert (GradedPoly.zero(3) * a).weight is None
+
+
+def test_planted_non_integral_coefficient_fails_populate(monkeypatch):
+    from bpcentre import bp_hopf
+
+    real = bp_hopf.hazewinkel_m
+    for k in range(3):
+        real(3, k)  # memoized, so the patched recursion below never reaches it
+
+    def without_one_over_p(p, k):
+        # m_1 = v_1 instead of v_1/p: eta_R(v_2) keeps a v_1^4/3 term
+        return real(p, k) * p if k == 1 else real(p, k)
+
+    EtaRTable(3, 4).populate()
+    monkeypatch.setattr(bp_hopf, "hazewinkel_m", without_one_over_p)
+    EtaRTable(3, 3).populate()  # eta_R(v_1) = 3*v_1 + 3*t_1: wrong, but integral
+    with pytest.raises(IntegralityError, match=r"eta_R\(v\^\(0, 1\)\)"):
+        EtaRTable(3, 4).populate()

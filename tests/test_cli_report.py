@@ -382,3 +382,22 @@ def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
     expected = [beta for r in range(9) for beta in enumerate_weight(r, 3)]
     assert sorted(columns) == sorted(expected)
     assert len(columns) == len(set(columns)) == 15
+
+
+def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypatch):
+    from bpcentre import cli_report, truncation_centre
+
+    real = truncation_centre.block_split
+    splits = []
+
+    def counted(r, n, p):
+        splits.append((r, n))
+        return real(r, n, p)
+
+    # suite_centre calls it through its own import of the name.
+    for module in (truncation_centre, cli_report):
+        monkeypatch.setattr(module, "block_split", counted)
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "8", "--heights", "1,2,3",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    assert sorted(splits) == [(r, n) for r in range(9) for n in (1, 2, 3)]

@@ -25,6 +25,15 @@ def test_valuation_examples():
     assert valuation(Fraction(5, 9), 3) == -2
 
 
+def test_valuation_input_types_and_non_prime():
+    for x, v in [(-54, 3), (True, 0), ("5/9", -2), (0.5, 0), (Fraction(0), INFINITY)]:
+        assert valuation(x, 3) == v, x
+    for _ in range(2):  # a rejected prime is rejected again, not remembered
+        for p in (1, 4, 9):
+            with pytest.raises(ValueError, match="not prime"):
+                valuation(3, p)
+
+
 def test_valuation_ultrametric():
     rng = random.Random(2)
     for _ in range(300):
