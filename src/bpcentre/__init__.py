@@ -13,7 +13,6 @@ from .bp_hopf import (
     IntegralityError,
     check_integrality,
     coefficient_of_t,
-    eta_r_v,
     hazewinkel_m,
 )
 from .dvr_arith import (
@@ -43,7 +42,6 @@ from .monomial_order import (
 )
 from .op_calculus import (
     ConsistencyError,
-    DegreeMatrix,
     OpFunctional,
     action_matrix,
     adams_matrix,
@@ -68,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockSplit",
     "ConsistencyError",
-    "DegreeMatrix",
     "DvrLattice",
     "EtaRTable",
     "GradedPoly",
@@ -92,7 +89,6 @@ __all__ = [
     "echelon_lattice",
     "elementary_realize",
     "enumerate_weight",
-    "eta_r_v",
     "hazewinkel_m",
     "in_ideal",
     "integral_kernel",

@@ -466,11 +466,6 @@ def fingerprint_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def eta_r_v(gamma, table: EtaRTable) -> GradedPoly:
-    """eta_R(v^gamma) from the table (computing and memoizing on demand)."""
-    return table.eta(gamma)
-
-
 def coefficient_of_t(gamma, beta, table: EtaRTable) -> GradedPoly:
     """The v-polynomial coefficient of t^beta in eta_R(v^gamma).
 

@@ -30,12 +30,12 @@ from .bp_hopf import (
     GradedPoly,
     IntegralityError,
     check_integrality,
-    eta_r_v,
     fingerprint_bytes,
 )
 from .dvr_arith import (
     generates_units_mod_p2,
     is_odd_prime,
+    scalar_value,
     topological_generator,
     valuation,
 )
@@ -167,7 +167,7 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
         ((1,), (), ()): Fraction(1),
         ((), (1,), ()): Fraction(p),
     })
-    got = eta_r_v((1,), table)
+    got = table.eta((1,))
     _check(checks, "eta-v1-exact", got == expected_v1, f"eta_R(v_1) = {got}")
 
     for r in range(config.max_weight + 1):
@@ -260,11 +260,7 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
             except ConsistencyError as exc:
                 _check(checks, f"centre/n={n}/w={r}", False, str(exc))
                 continue
-            scalar = all(
-                all(m[i][j] == (m[0][0] if i == j else 0)
-                    for i in range(len(m)) for j in range(len(m)))
-                for m in basis
-            )
+            scalar = all(scalar_value(m) is not None for m in basis)
             _check(
                 checks,
                 f"centre/n={n}/w={r}",
@@ -300,9 +296,14 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
         _check(checks, f"sg-nesting/N={N}->{N - 1}", nested,
                "projections of the basis belong to the smaller window")
     for n in config.heights:
-        report = compare_with_diagonal_window(
-            N, n, table, q=q, caps=config.caps, sg=(sg, cert)
-        )
+        try:
+            report = compare_with_diagonal_window(
+                N, n, table, q=q, caps=config.caps, sg=(sg, cert)
+            )
+        except ConsistencyError as exc:
+            _check(checks, f"congruence-inclusion/n={n}/N={N}", False, str(exc))
+            _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", False, str(exc))
+            continue
         sg_div = f"sg divisors {report['sg_divisors']}"
         _check(checks, f"congruence-inclusion/n={n}/N={N}", report["inclusion"],
                f"{sg_div} diagonal divisors {report['diagonal_divisors']} "
@@ -485,6 +486,9 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
             report["lattices"] = lattice_report(config, table)
         except StabilizationError as exc:
             sys.stdout.write(f"FAIL stabilization: {exc}\n")
+            return 1
+        except ConsistencyError as exc:
+            sys.stdout.write(f"FAIL consistency: {exc}\n")
             return 1
     sys.stdout.write(render_report(report, config.fmt))
     return overall_status(report)

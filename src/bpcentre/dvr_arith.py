@@ -112,6 +112,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def scalar_value(m: Matrix):
+    """The scalar c with m == c*I (0 for the empty matrix), or None."""
+    c = m[0][0] if m else Fraction(0)
+    scalar = all(len(row) == len(m) and all(x == (c if i == j else 0)
+                                            for j, x in enumerate(row))
+                 for i, row in enumerate(m))
+    return c if scalar else None
+
+
 # ---------------------------------------------------------------------------
 # lattices in canonical echelon form
 # ---------------------------------------------------------------------------

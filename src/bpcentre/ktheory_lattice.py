@@ -37,8 +37,6 @@ class StabilizationError(RuntimeError):
 class StabilizationCertificate:
     """Record of how the Adams span stabilized."""
 
-    p: int
-    window: int
     q: int
     m_cap: int
     s_cap: int
@@ -47,8 +45,7 @@ class StabilizationCertificate:
     stopped_at_a: int
 
     def summary(self) -> dict:
-        """The fields reports carry: all but the prime and the window."""
-        return {k: v for k, v in asdict(self).items() if k not in ("p", "window")}
+        return asdict(self)
 
 
 def sg_window(
@@ -87,7 +84,7 @@ def sg_window(
             lattice = grown
         if streak >= margin:
             cert = StabilizationCertificate(
-                p=p, window=N, q=q, m_cap=m_cap, s_cap=s_cap, margin=margin,
+                q=q, m_cap=m_cap, s_cap=s_cap, margin=margin,
                 last_changed_a=last_changed, stopped_at_a=a,
             )
             return lattice, cert
@@ -152,12 +149,9 @@ def compare_with_diagonal_window(
     inclusion, gap = lattice_inclusion(sg, diagonal)
     phi_inclusion, phi_gap = lattice_inclusion(phi, sg)
     return {
-        "window": N,
         "height": n,
         "sg_divisors": list(sg.elementary_divisors),
-        "sg_pivot_rows": [row for row, _ in sg.pivots],
         "diagonal_divisors": list(diagonal.elementary_divisors),
-        "diagonal_pivot_rows": [row for row, _ in diagonal.pivots],
         "inclusion": inclusion,
         "gap_colength": gap,
         "phi_divisors": list(phi.elementary_divisors),

@@ -5,7 +5,8 @@ on the co-operation ring determined by its values on t-monomials; its action
 on coefficients is recovered by precomposition with the right unit.  Since
 the action on homotopy is faithful, operations are identified throughout
 with the exact matrices of their actions on the ordered monomial basis of
-each weight.
+each weight: ``dvr_arith.Matrix`` row tuples whose entry (i, j) is the
+coefficient of basis[i] in the image of basis[j].
 
 The family phi(alpha, beta) (value v^alpha on t^beta, zero elsewhere) spans
 the degree-zero functionals weightwise.  Their matrices are triangular with
@@ -23,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
-from .dvr_arith import is_integral, mat_mul, valuation
+from .dvr_arith import Matrix, is_integral, valuation
 from .monomial_order import Exp, enumerate_weight, normalize, weight
 
 _PER_TABLE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
@@ -100,67 +101,6 @@ def phi_alpha_beta(p: int, alpha, beta) -> OpFunctional:
     )
 
 
-@dataclass(frozen=True)
-class DegreeMatrix:
-    """Exact matrix of an action on the ordered monomial basis of one weight.
-
-    Entry (i, j) is the coefficient of basis[i] in the image of basis[j].
-    """
-
-    p: int
-    r: int
-    basis: tuple[Exp, ...]
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-    def __mul__(self, other: "DegreeMatrix") -> "DegreeMatrix":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        return DegreeMatrix(self.p, self.r, self.basis,
-                            mat_mul(self.entries, other.entries))
-
-    def __add__(self, other: "DegreeMatrix") -> "DegreeMatrix":
-        if self.basis != other.basis:
-            raise ValueError("basis mismatch")
-        entries = tuple(
-            tuple(a + b for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)
-        )
-        return DegreeMatrix(self.p, self.r, self.basis, entries)
-
-    def scale(self, c) -> "DegreeMatrix":
-        c = Fraction(c)
-        return DegreeMatrix(
-            self.p, self.r, self.basis,
-            tuple(tuple(c * x for x in row) for row in self.entries),
-        )
-
-    def commutes_with(self, other: "DegreeMatrix") -> bool:
-        return (self * other).entries == (other * self).entries
-
-    def is_scalar(self):
-        """The scalar c with entries == c*I, or None."""
-        c = self.entries[0][0] if self.size else Fraction(0)
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.entries[i][j] != (c if i == j else 0):
-                    return None
-        return c
-
-
-def scalar_matrix(p: int, r: int, basis, c) -> DegreeMatrix:
-    basis = tuple(basis)
-    c = Fraction(c)
-    entries = tuple(
-        tuple(c if i == j else Fraction(0) for j in range(len(basis)))
-        for i in range(len(basis))
-    )
-    return DegreeMatrix(p, r, basis, entries)
-
-
 @per_table
 def mu_matrix(r: int, table: EtaRTable):
     """Pure-t coefficient scalars mu[i][j] = <t^basis[j]> eta_R(v^basis[i]).
@@ -175,7 +115,7 @@ def mu_matrix(r: int, table: EtaRTable):
     return basis, tuple(rows)
 
 
-def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> DegreeMatrix:
+def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> Matrix:
     """Matrix of the operation's action on the weight-r monomial basis.
 
     The image of v^gamma is the sum over the support of value(beta) times
@@ -200,10 +140,7 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> DegreeMatrix:
                 )
             col[index[v]] = c
         cols.append(col)
-    entries = tuple(
-        tuple(cols[j][i] for j in range(len(basis))) for i in range(len(basis))
-    )
-    return DegreeMatrix(p, r, basis, entries)
+    return tuple(zip(*cols))
 
 
 def adams_sequence(p: int, k, N: int) -> tuple[Fraction, ...]:
@@ -223,12 +160,11 @@ def default_caps(N: int) -> tuple[int, int]:
     return N + 8, 3
 
 
-def adams_matrix(p: int, k, r: int, size: int | None = None) -> DegreeMatrix:
+def adams_matrix(p: int, k, r: int) -> Matrix:
     """The Adams operation for parameter k in weight r: k^((p-1)r) * I."""
-    basis = tuple(enumerate_weight(r, p))
-    if size is not None and size != len(basis):
-        raise ValueError(f"size {size} != weight-{r} basis size {len(basis)}")
-    return scalar_matrix(p, r, basis, adams_sequence(p, k, r)[r])
+    c = adams_sequence(p, k, r)[r]
+    size = range(len(enumerate_weight(r, p)))
+    return tuple(tuple(c if i == j else Fraction(0) for j in size) for i in size)
 
 
 def solve_column(basis, mu, b: int, p: int):
@@ -292,18 +228,14 @@ def elementary_realize(alpha, beta, table: EtaRTable):
     return mu_bar, dict(coefficients)
 
 
-def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> DegreeMatrix:
+def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> Matrix:
     """Matrix M(alpha, beta) of phi(alpha, beta) in weight r = weight(alpha),
     built directly from the mu scalars (row alpha only)."""
-    p = table.p
-    alpha, beta = normalize(alpha), normalize(beta)
     basis, mu = mu_matrix(r, table)
-    ia, ib = basis.index(alpha), basis.index(beta)
-    entries = tuple(
-        tuple(mu[j][ib] if i == ia else Fraction(0) for j in range(len(basis)))
-        for i in range(len(basis))
-    )
-    return DegreeMatrix(p, r, basis, entries)
+    ia, ib = basis.index(normalize(alpha)), basis.index(normalize(beta))
+    zero = (Fraction(0),) * len(basis)
+    return tuple(tuple(row[ib] for row in mu) if i == ia else zero
+                 for i in range(len(basis)))
 
 
 def stable_generators(p: int, max_weight: int) -> list[OpFunctional]:

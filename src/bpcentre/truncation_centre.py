@@ -25,6 +25,7 @@ from functools import lru_cache
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
     DvrLattice,
+    Matrix,
     commutant,
     echelon_lattice,
     integral_kernel,
@@ -34,12 +35,10 @@ from .dvr_arith import (
 from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, weight
 from .op_calculus import (
     ConsistencyError,
-    DegreeMatrix,
     adams_sequence,
     default_caps,
     per_table,
     realizations,
-    scalar_matrix,
 )
 
 
@@ -77,7 +76,7 @@ def block_split(r: int, n: int, p: int) -> BlockSplit:
     return BlockSplit(p=p, r=r, n=n, basis=basis, r_indices=r_idx, j_indices=j_idx)
 
 
-def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> DegreeMatrix:
+def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Matrix:
     """R-block matrix of the realized elementary operation at height n.
 
     The realized combination acts on the full weight-r basis as a p-power
@@ -92,14 +91,12 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Degre
     return _elementary(r, r_basis, r_basis.index(alpha), r_basis.index(beta), table)
 
 
-def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> DegreeMatrix:
+def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> Matrix:
     """mu_bar * E_(a, b) on the weight-r R basis, for basis indices a and b."""
     mu_bar = realizations(r, table)[r_basis[b]][0]
     size = range(len(r_basis))
-    entries = tuple(
-        tuple(mu_bar if (i, j) == (a, b) else Fraction(0) for j in size) for i in size
-    )
-    return DegreeMatrix(table.p, r, r_basis, entries)
+    return tuple(tuple(mu_bar if (i, j) == (a, b) else Fraction(0) for j in size)
+                 for i in size)
 
 
 def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None = None):
@@ -112,7 +109,7 @@ def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None 
     """
     r_basis = (split or block_split(r, n, table.p)).r_basis
     size = range(len(r_basis))
-    mats = [_elementary(r, r_basis, a, b, table).entries for a in size for b in size]
+    mats = [_elementary(r, r_basis, a, b, table) for a in size for b in size]
     basis = commutant(mats, len(r_basis), table.p)
     return len(basis), basis
 
@@ -222,7 +219,7 @@ def diagonal_window_lattice(
     return echelon_lattice(p, phi.basis + adams.basis, N + 1)
 
 
-def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[DegreeMatrix]:
+def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[Matrix]:
     """Per-weight R-block matrices of an integral Adams combination.
 
     In weight r the combination acts as the scalar
@@ -233,8 +230,10 @@ def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[DegreeM
         if not is_integral(c, p):
             raise ValueError("Adams coefficients must be p-local")
         windows.append((Fraction(c), adams_sequence(p, k, N)))
-    return [
-        scalar_matrix(p, r, block_split(r, n, p).r_basis,
-                      sum((c * w[r] for c, w in windows), Fraction(0)))
-        for r in range(N + 1)
-    ]
+    mats = []
+    for r in range(N + 1):
+        scalar = sum((c * w[r] for c, w in windows), Fraction(0))
+        size = range(len(block_split(r, n, p).r_indices))
+        mats.append(tuple(tuple(scalar if i == j else Fraction(0) for j in size)
+                          for i in size))
+    return mats

@@ -14,7 +14,6 @@ from bpcentre.bp_hopf import (
     IntegralityError,
     check_integrality,
     coefficient_of_t,
-    eta_r_v,
     fingerprint_bytes,
     hazewinkel_m,
     substitute_m,
@@ -113,24 +112,24 @@ def test_hazewinkel_m_rejects_even_prime():
 
 
 def test_eta_unit(table_p3):
-    assert eta_r_v((), table_p3) == GradedPoly.const(3, 1)
+    assert table_p3.eta(()) == GradedPoly.const(3, 1)
 
 
 def test_eta_v1(table_p3):
-    assert eta_r_v((1,), table_p3) == GradedPoly(3, {
+    assert table_p3.eta((1,)) == GradedPoly(3, {
         ((1,), (), ()): 1,
         ((), (1,), ()): 3,
     })
 
 
 def test_eta_v1_squared_top_term(table_p3):
-    poly = eta_r_v((2,), table_p3)
+    poly = table_p3.eta((2,))
     assert poly.pure_t_terms()[(2,)] == 9
 
 
 def test_eta_v2_frozen(table_p3):
     # full expansion checked by hand and by the sympy oracle
-    assert eta_r_v((0, 1), table_p3) == GradedPoly(3, {
+    assert table_p3.eta((0, 1)) == GradedPoly(3, {
         ((0, 1), (), ()): 1,
         ((), (0, 1), ()): 3,
         ((3,), (1,), ()): -4,

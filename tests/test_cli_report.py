@@ -401,3 +401,56 @@ def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypat
             "--format", "json", "--cache", str(tmp_path / "cache")]
     assert run_cli(capsys, argv)[0] == 0
     assert sorted(splits) == [(r, n) for r in range(9) for n in (1, 2, 3)]
+
+
+def swap_block_order(monkeypatch):
+    """Flip the height ideal, so that weight 4 at p=3 lists J before R."""
+    from bpcentre import truncation_centre
+
+    real = truncation_centre.in_ideal
+    monkeypatch.setattr(truncation_centre, "in_ideal", lambda a, n: not real(a, n))
+
+
+def test_block_order_failure_fails_congruence_checks(tmp_path, capsys, monkeypatch):
+    swap_block_order(monkeypatch)
+    argv = ["verify", "all", "--p", "3", "--max-weight", "5", "--N", "4",
+            "--heights", "1", "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    suites = {s["name"]: s["checks"] for s in json.loads(out)["suites"]}
+    assert list(suites) == ["etaR", "triangular", "realize", "centre", "congruence"]
+    congruence = {c["id"]: c for c in suites["congruence"]}
+    for check_id in ("congruence-inclusion/n=1/N=4", "congruence-phi-inclusion/n=1/N=4"):
+        assert congruence[check_id]["status"] == "FAIL"
+        assert "block order violated in weight 4" in congruence[check_id]["witness"]
+    assert congruence["sg-stabilization/N=4"]["status"] == "PASS"
+    assert {c["id"]: c["status"] for c in suites["centre"]}["centre/n=1/w=4"] == "FAIL"
+
+
+def test_block_order_failure_fails_lattices(tmp_path, capsys, monkeypatch):
+    swap_block_order(monkeypatch)
+    argv = ["lattices", "--p", "3", "--max-weight", "5", "--N", "4", "--heights", "1",
+            "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert out.startswith("FAIL consistency: block order violated in weight 4")
+
+
+@pytest.mark.parametrize("rank, basis, witness", [
+    (1, [((1, 0), (0, 2))], "commutant rank=1 scalar=False"),
+    (2, [((1, 0), (0, 1)), ((2, 0), (0, 2))], "commutant rank=2 scalar=True"),
+])
+def test_centre_check_fails_on_rank_or_scalar(rank, basis, witness, tmp_path, capsys,
+                                              monkeypatch):
+    from bpcentre import cli_report
+
+    monkeypatch.setattr(cli_report, "centre_commutant", lambda *args: (rank, basis))
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "2", "--heights", "1",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    centre = [c for c in checks if c["id"].startswith("centre/")]
+    assert [c["id"] for c in centre] == [f"centre/n=1/w={r}" for r in range(3)]
+    for check in centre:
+        assert (check["status"], check["witness"]) == ("FAIL", witness)

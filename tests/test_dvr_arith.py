@@ -13,6 +13,7 @@ from bpcentre.dvr_arith import (
     lattice_membership,
     mat_mul,
     reduce_mod_p_power,
+    scalar_value,
     topological_generator,
     valuation,
 )
@@ -215,3 +216,15 @@ def test_commutant_remultiplication():
         for x in commutant(mats, size, 3):
             for m in mats:
                 assert mat_mul(x, m) == mat_mul(m, x)
+
+
+def test_scalar_value():
+    one, zero = Fraction(1), Fraction(0)
+    assert scalar_value(()) == 0
+    assert scalar_value(((Fraction(5),),)) == 5
+    assert scalar_value(((Fraction(-2), zero), (zero, Fraction(-2)))) == -2
+    assert scalar_value(_elementary(3, 0, 0)) is None
+    assert scalar_value(((one, one), (zero, one))) is None  # off-diagonal entry
+    assert scalar_value(((zero, one), (zero, zero))) is None
+    assert scalar_value(((one, zero), (zero, Fraction(2)))) is None  # unequal diagonal
+    assert scalar_value(((one, zero),)) is None  # not square

@@ -117,7 +117,7 @@ def test_centre_systems_match_oracle(n, table_p3):
         split = block_split(r, n, 3)
         size = len(split.r_basis)
         mats = [
-            projected_elementary(a, b, r, n, table_p3).entries
+            projected_elementary(a, b, r, n, table_p3)
             for a in split.r_basis
             for b in split.r_basis
         ]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bpcentre.bp_hopf import EtaRTable, GradedPoly
+from bpcentre.dvr_arith import mat_mul, scalar_value
 from bpcentre.monomial_order import enumerate_weight, weight
 from bpcentre.op_calculus import (
     ConsistencyError,
@@ -42,7 +43,7 @@ def test_phi_alpha_beta_basic():
 
 def test_counit_acts_as_identity(table_p3):
     for r in range(9):
-        assert action_matrix(counit(3), r, table_p3).is_scalar() == 1
+        assert scalar_value(action_matrix(counit(3), r, table_p3)) == 1
 
 
 def test_action_matrix_rejects_degree_shift(table_p3):
@@ -52,14 +53,14 @@ def test_action_matrix_rejects_degree_shift(table_p3):
 
 def test_action_phi_01_01_weight4(table_p3):
     m = action_matrix(phi_alpha_beta(3, (0, 1), (0, 1)), 4, table_p3)
-    assert m.basis == ((4,), (0, 1))
-    assert m.entries == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(3)))
+    assert tuple(enumerate_weight(4, 3)) == ((4,), (0, 1))
+    assert m == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(3)))
 
 
 def test_action_phi_4_4_weight4(table_p3):
     m = action_matrix(phi_alpha_beta(3, (4,), (4,)), 4, table_p3)
     # c = mu[(0,1), (4,)] = -27, frozen from the right-unit expansion
-    assert m.entries == ((Fraction(81), Fraction(-27)), (Fraction(0), Fraction(0)))
+    assert m == ((Fraction(81), Fraction(-27)), (Fraction(0), Fraction(0)))
 
 
 def test_functional_matrix_agrees_with_action(table_p3):
@@ -68,7 +69,7 @@ def test_functional_matrix_agrees_with_action(table_p3):
         for alpha, beta in itertools.product(basis, repeat=2):
             direct = functional_matrix(alpha, beta, r, table_p3)
             general = action_matrix(phi_alpha_beta(3, alpha, beta), r, table_p3)
-            assert direct.entries == general.entries, (r, alpha, beta)
+            assert direct == general, (r, alpha, beta)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -86,15 +87,13 @@ def test_triangularity(p, table_p3, table_p5):
 
 
 def test_adams_matrix_examples(table_p3):
-    assert adams_matrix(3, 1, 5).is_scalar() == 1
-    assert adams_matrix(3, 0, 3).is_scalar() == 0
-    assert adams_matrix(3, 0, 0).entries == ((Fraction(1),),)
-    assert adams_matrix(3, 2, 2).is_scalar() == 16
-    assert adams_matrix(3, Fraction(3), 1).is_scalar() == 9
+    assert scalar_value(adams_matrix(3, 1, 5)) == 1
+    assert scalar_value(adams_matrix(3, 0, 3)) == 0
+    assert adams_matrix(3, 0, 0) == ((Fraction(1),),)
+    assert scalar_value(adams_matrix(3, 2, 2)) == 16
+    assert scalar_value(adams_matrix(3, Fraction(3), 1)) == 9
     with pytest.raises(ValueError):
         adams_matrix(3, Fraction(1, 3), 1)
-    with pytest.raises(ValueError):
-        adams_matrix(3, 2, 4, size=3)
 
 
 def test_adams_commutes_with_actions(table_p3):
@@ -102,7 +101,7 @@ def test_adams_commutes_with_actions(table_p3):
         psi = adams_matrix(3, 2, r)
         for op in stable_generators(3, 4):
             m = action_matrix(op, r, table_p3)
-            assert psi.commutes_with(m)
+            assert mat_mul(psi, m) == mat_mul(m, psi)
 
 
 def test_elementary_realize_examples(table_p3):
@@ -146,15 +145,14 @@ def test_realization_soundness(table_p3):
             mu_bar, coeffs = elementary_realize(alpha, beta, table_p3)
             assert mu_bar != 0
             assert all(c.denominator % 3 != 0 for c in coeffs.values())
-            combined = None
-            for gamma, c in coeffs.items():
-                term = functional_matrix(alpha, gamma, r, table_p3).scale(c)
-                combined = term if combined is None else combined + term
+            terms = [(c, functional_matrix(alpha, gamma, r, table_p3))
+                     for gamma, c in coeffs.items()]
             ia, ib = basis.index(alpha), basis.index(beta)
             for i in range(len(basis)):
                 for j in range(len(basis)):
                     expected = mu_bar if (i, j) == (ia, ib) else 0
-                    assert combined.entries[i][j] == expected, (r, alpha, beta)
+                    combined = sum(c * m[i][j] for c, m in terms)
+                    assert combined == expected, (r, alpha, beta)
 
 
 def test_realized_matrix_rejects_perturbed_coefficients(table_p3, monkeypatch):
@@ -197,14 +195,15 @@ def test_degree_zero_consistency(table_p3):
     for op in stable_generators(3, 4):
         for r in range(5):
             m = action_matrix(op, r, table_p3)
-            assert m.size == len(enumerate_weight(r, 3))
+            size = len(enumerate_weight(r, 3))
+            assert len(m) == size and all(len(row) == size for row in m)
 
 
 def test_action_matrices_are_integral(table_p3):
     for op in stable_generators(3, 5):
         for r in range(6):
             m = action_matrix(op, r, table_p3)
-            for row in m.entries:
+            for row in m:
                 for x in row:
                     assert x.denominator % 3 != 0
 

@@ -14,7 +14,6 @@ from bpcentre.dvr_arith import valuation
 from bpcentre.monomial_order import enumerate_weight, normalize, weight
 from bpcentre.op_calculus import (
     ConsistencyError,
-    DegreeMatrix,
     elementary_realize,
     mu_matrix,
 )
@@ -51,15 +50,11 @@ def oracle_realized_matrix(alpha, beta, table):
     if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
             or row != tuple(expected)):
         raise ConsistencyError(f"({alpha}, {beta}) is not {mu_bar}*E")
-    entries = tuple(row if i == index[alpha] else zero for i in range(len(basis)))
-    return mu_bar, DegreeMatrix(p, r, basis, entries)
+    return mu_bar, tuple(row if i == index[alpha] else zero for i in range(len(basis)))
 
 
-def restrict(m: DegreeMatrix, indices) -> DegreeMatrix:
-    return DegreeMatrix(
-        m.p, m.r, tuple(m.basis[i] for i in indices),
-        tuple(tuple(m.entries[i][j] for j in indices) for i in indices),
-    )
+def restrict(m, indices):
+    return tuple(tuple(m[i][j] for j in indices) for i in indices)
 
 
 @pytest.mark.parametrize("p, bound", [(3, 12), (5, 6)])

@@ -32,7 +32,7 @@ def monolithic_window_lattice(N, n, table):
     rows = []
     for r in range(N + 1):
         split = block_split(r, n, p)
-        actions = [action_matrix(g, r, table).entries for g in gens]
+        actions = [action_matrix(g, r, table) for g in gens]
         for i in split.r_indices:
             for j in range(len(split.basis)):
                 row = [Fraction(0)] * n_vars
@@ -69,7 +69,7 @@ def test_phi_actions_match_action_matrix(p, table_p3, table_p5):
         size = len(enumerate_weight(r, p))
         actions = phi_actions(r, table)
         for g_idx, g in enumerate(gens):
-            expected = action_matrix(g, r, table).entries
+            expected = action_matrix(g, r, table)
             got = tuple(
                 tuple(actions.get((i, j), {}).get(g_idx, Fraction(0))
                       for j in range(size))
