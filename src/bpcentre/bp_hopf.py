@@ -5,8 +5,8 @@ is Z_(p)[v_1, v_2, ...] on the Hazewinkel generators, defined through the
 rational generators m_k by the recursion p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}
 (m_0 = 1).  Co-operations live in Z_(p)[v][t], and the right unit is the ring
 map determined on the rational generators by eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i}
-with t_0 = 1.  Rational m-arithmetic never leaves this module: every exported
-value is rewritten into v, t and checked to be p-integral.
+with t_0 = 1.  Monomials are (v, t) pairs: the m_k appear only inside the
+recursion for eta_R(v_k), and every stored value is checked to be p-integral.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
 serializes to a deterministic JSON document.
@@ -31,10 +31,10 @@ from .monomial_order import (
     weight,
 )
 
-# A mixed monomial: exponent sequences for the v, t and m generators.
-Mono = tuple[Exp, Exp, Exp]
+# A mixed monomial: exponent sequences for the v and t generators.
+Mono = tuple[Exp, Exp]
 
-MONO_ONE: Mono = ((), (), ())
+MONO_ONE: Mono = ((), ())
 
 CONVENTION = "hazewinkel"
 
@@ -48,17 +48,17 @@ class IntegralityError(ArithmeticError):
 
 
 def mono_weight(key: Mono, p: int) -> int:
-    v, t, m = key
-    return weight(v, p) + weight(t, p) + weight(m, p)
+    v, t = key
+    return weight(v, p) + weight(t, p)
 
 
 def mono_sort_key(key: Mono):
-    v, t, m = key
-    return (sort_key(t), sort_key(v), sort_key(m))
+    v, t = key
+    return (sort_key(t), sort_key(v))
 
 
 class GradedPoly:
-    """A sparse weight-homogeneous polynomial in the v, t and m generators.
+    """A sparse weight-homogeneous polynomial in the v and t generators.
 
     Immutable by convention; the term map sends mixed monomials to non-zero
     Fraction coefficients, and all stored terms share one total weight.
@@ -73,8 +73,8 @@ class GradedPoly:
             coeff = Fraction(coeff)
             if coeff == 0:
                 continue
-            v, t, m = key
-            key = (normalize(v), normalize(t), normalize(m))
+            v, t = key
+            key = (normalize(v), normalize(t))
             kw = mono_weight(key, p)
             if w is None:
                 w = kw
@@ -101,7 +101,7 @@ class GradedPoly:
 
     @classmethod
     def v_mono(cls, p: int, alpha: Exp, coeff=1) -> "GradedPoly":
-        return cls(p, {(normalize(alpha), (), ()): Fraction(coeff)})
+        return cls(p, {(normalize(alpha), ()): Fraction(coeff)})
 
     # -- ring structure -----------------------------------------------
 
@@ -160,9 +160,9 @@ class GradedPoly:
         if self.p != other.p:
             raise ValueError("mixed primes")
         out: dict[Mono, Fraction] = {}
-        for (v1, t1, m1), c1 in self.terms.items():
-            for (v2, t2, m2), c2 in other.terms.items():
-                key = (add(v1, v2), add(t1, t2), add(m1, m2))
+        for (v1, t1), c1 in self.terms.items():
+            for (v2, t2), c2 in other.terms.items():
+                key = (add(v1, v2), add(t1, t2))
                 out[key] = out.get(key, 0) + c1 * c2
         terms = {k: c for k, c in out.items() if c}
         w = self.weight + other.weight if terms else None
@@ -191,9 +191,7 @@ class GradedPoly:
 
     def pure_t_terms(self) -> dict[Exp, Fraction]:
         """Coefficients of the monomials involving only t generators."""
-        return {
-            t: c for (v, t, m), c in self.terms.items() if not v and not m
-        }
+        return {t: c for (v, t), c in self.terms.items() if not v}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -202,7 +200,7 @@ class GradedPoly:
         for key in sorted(self.terms, key=mono_sort_key):
             coeff = self.terms[key]
             factors = []
-            for name, exps in zip(("v", "t", "m"), key):
+            for name, exps in zip(("v", "t"), key):
                 for i, e in enumerate(exps, start=1):
                     if e == 1:
                         factors.append(f"{name}_{i}")
@@ -250,29 +248,10 @@ def hazewinkel_m(p: int, k: int) -> GradedPoly:
     )) * Fraction(1, p)
 
 
-def _eta_of_m(p: int, k: int) -> GradedPoly:
-    # eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i}, with m_0 = t_0 = 1.
-    return GradedPoly(p, {
-        ((), (0,) * (k - i - 1) + (p**i,) if i < k else (), unit_exp(i) if i else ()): 1
-        for i in range(k + 1)
-    })
-
-
-def substitute_m(poly: GradedPoly) -> GradedPoly:
-    """Rewrite every m generator as its v-polynomial, expanding each product
-    of m generators once for all the terms that share it."""
-    p = poly.p
-    groups: dict[Exp, dict[Mono, Fraction]] = {}
-    for (v, t, m), c in poly.terms.items():
-        groups.setdefault(m, {})[(v, t, ())] = c
-    factors = []
-    for m, terms in groups.items():
-        factor = GradedPoly._trusted(p, terms, poly.weight - weight(m, p))
-        for i, e in enumerate(m, start=1):
-            if e:
-                factor = factor * hazewinkel_m(p, i) ** e
-        factors.append(factor)
-    return GradedPoly.sum(p, factors)
+def substitute_m(p: int, groups: dict[int, GradedPoly]) -> GradedPoly:
+    """sum_a m_a * groups[a], each m_a written as its v-polynomial: one
+    product per generator."""
+    return GradedPoly.sum(p, (hazewinkel_m(p, a) * poly for a, poly in groups.items()))
 
 
 class EtaRTable:
@@ -283,16 +262,13 @@ class EtaRTable:
     entries, so a populated table is safe to share between threads.
     """
 
-    def __init__(self, p: int, max_weight: int, convention: str = CONVENTION):
+    def __init__(self, p: int, max_weight: int):
         if not is_odd_prime(p):
             raise ValueError("p must be an odd prime")
-        if convention != CONVENTION:
-            raise ValueError(f"unsupported generator convention {convention!r}")
         if max_weight < 0:
             raise ValueError("max_weight must be non-negative")
         self.p = p
         self.max_weight = max_weight
-        self.convention = convention
         self._cache: dict[Exp, GradedPoly] = {}
 
     # -- construction ---------------------------------------------------
@@ -312,11 +288,18 @@ class EtaRTable:
         return poly
 
     def _eta_generator(self, k: int) -> GradedPoly:
+        # eta_R(v_k) = p*eta_R(m_k) - sum_{0<i<k} eta_R(m_i) eta_R(v_{k-i})^{p^i}
+        # with eta_R(m_i) = sum_{a+j=i} m_a t_j^{p^a}; the t-parts go to groups[a].
         p = self.p
-        expr = GradedPoly.sum(p, [_eta_of_m(p, k) * p] + [
-            -_eta_of_m(p, i) * self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)
-        ])
-        return substitute_m(expr)
+        powers = {i: self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)}
+
+        def t_power(j, a, c):  # c * t_j^{p^a}, with t_0 = 1
+            return GradedPoly(p, {((), (0,) * (j - 1) + (p**a,) if j else ()): c})
+
+        groups = {a: GradedPoly.sum(p, [t_power(k - a, a, p)] + [
+            t_power(i - a, a, -1) * powers[i] for i in range(max(a, 1), k)
+        ]) for a in range(k + 1)}
+        return substitute_m(p, groups)
 
     def eta(self, gamma) -> GradedPoly:
         """eta_R(v^gamma), computed multiplicatively and memoized."""
@@ -356,10 +339,8 @@ class EtaRTable:
         for gamma in self.keys():
             poly = self._cache[gamma]
             terms = []
-            for key in sorted(poly.terms, key=mono_sort_key):
-                v, t, m = key
-                assert not m
-                coeff = poly.terms[key]
+            for v, t in sorted(poly.terms, key=mono_sort_key):
+                coeff = poly.terms[v, t]
                 terms.append(
                     {
                         "v_exponents": list(v),
@@ -371,7 +352,7 @@ class EtaRTable:
             entries.append({"v_exponents": list(gamma), "terms": terms})
         return {
             "prime": self.p,
-            "convention": self.convention,
+            "convention": CONVENTION,
             "max_weight": self.max_weight,
             "entries": entries,
         }
@@ -379,18 +360,25 @@ class EtaRTable:
     @classmethod
     def from_payload(cls, payload: dict) -> "EtaRTable":
         try:
-            table = cls(int(payload["prime"]), int(payload["max_weight"]),
-                        payload["convention"])
+            if payload["convention"] != CONVENTION:
+                raise ValueError(f"unsupported generator convention {payload['convention']!r}")
+            table = cls(int(payload["prime"]), int(payload["max_weight"]))
             for entry in payload["entries"]:
                 gamma = normalize(tuple(entry["v_exponents"]))
-                terms = {
-                    (tuple(term["v_exponents"]), tuple(term["t_exponents"]), ()):
-                        Fraction(int(term["coefficient_numerator"]),
-                                 int(term["coefficient_denominator"]))
-                    for term in entry["terms"]
-                }
+                if gamma in table._cache:
+                    raise ValueError(f"repeated entry v^{gamma}")
+                terms: dict[Mono, Fraction] = {}
+                for term in entry["terms"]:
+                    key = (normalize(tuple(term["v_exponents"])),
+                           normalize(tuple(term["t_exponents"])))
+                    if key in terms:
+                        raise ValueError(f"entry v^{gamma}: repeated term {key}")
+                    terms[key] = Fraction(int(term["coefficient_numerator"]),
+                                          int(term["coefficient_denominator"]))
+                    if not terms[key]:
+                        raise ValueError(f"entry v^{gamma}: zero coefficient of {key}")
                 table._store(gamma, GradedPoly(table.p, terms))
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed cache document: {exc}") from exc
         expected = {
             g for r in range(table.max_weight + 1) for g in enumerate_weight(r, table.p)
@@ -405,19 +393,17 @@ class EtaRTable:
         entries = []
         for gamma in self.keys():
             terms = self._cache[gamma].terms
-            keys = sorted(terms, key=mono_sort_key)
-            assert not any(m for _, _, m in keys)
             rows = [
                 f'{{\n          "v_exponents": {_json_list(v, 10)},\n'
                 f'          "t_exponents": {_json_list(t, 10)},\n'
-                f'          "coefficient_numerator": "{terms[v, t, m].numerator}",\n'
-                f'          "coefficient_denominator": "{terms[v, t, m].denominator}"\n        }}'
-                for v, t, m in keys
+                f'          "coefficient_numerator": "{terms[v, t].numerator}",\n'
+                f'          "coefficient_denominator": "{terms[v, t].denominator}"\n        }}'
+                for v, t in sorted(terms, key=mono_sort_key)
             ]
             entries.append(f'{{\n      "v_exponents": {_json_list(gamma, 6)},\n'
                            f'      "terms": {_json_list(rows, 6)}\n    }}')
         return (
-            f'{{\n  "prime": {self.p},\n  "convention": {json.dumps(self.convention)},\n'
+            f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
             f'  "max_weight": {self.max_weight},\n  "entries": {_json_list(entries, 2)}\n}}\n'
         ).encode("utf-8")
 
@@ -474,7 +460,5 @@ def coefficient_of_t(gamma, beta, table: EtaRTable) -> GradedPoly:
     """
     beta = normalize(beta)
     poly = table.eta(gamma)
-    picked = {
-        (v, (), ()): c for (v, t, m), c in poly.terms.items() if t == beta
-    }
+    picked = {(v, ()): c for (v, t), c in poly.terms.items() if t == beta}
     return GradedPoly(table.p, picked)

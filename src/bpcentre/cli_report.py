@@ -164,8 +164,8 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
     checks: list[dict] = []
     p = config.p
     expected_v1 = GradedPoly(p, {
-        ((1,), (), ()): Fraction(1),
-        ((), (1,), ()): Fraction(p),
+        ((1,), ()): Fraction(1),
+        ((), (1,)): Fraction(p),
     })
     got = table.eta((1,))
     _check(checks, "eta-v1-exact", got == expected_v1, f"eta_R(v_1) = {got}")
@@ -297,9 +297,7 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
                "projections of the basis belong to the smaller window")
     for n in config.heights:
         try:
-            report = compare_with_diagonal_window(
-                N, n, table, q=q, caps=config.caps, sg=(sg, cert)
-            )
+            report = compare_with_diagonal_window(N, n, table, (sg, cert))
         except ConsistencyError as exc:
             _check(checks, f"congruence-inclusion/n={n}/N={N}", False, str(exc))
             _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", False, str(exc))
@@ -334,7 +332,7 @@ def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     p, q, N = config.p, config.q, config.window
     sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
     comparisons = [
-        compare_with_diagonal_window(N, n, table, q=q, caps=config.caps, sg=sg)
+        compare_with_diagonal_window(N, n, table, sg)
         for n in config.heights
     ]
 

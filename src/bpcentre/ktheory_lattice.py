@@ -124,27 +124,18 @@ def lattice_inclusion(inner: DvrLattice, outer: DvrLattice):
     return inclusion, None
 
 
-def compare_with_diagonal_window(
-    N: int,
-    n: int,
-    table: EtaRTable,
-    q: int | None = None,
-    caps=None,
-    margin: int = 4,
-    sg=None,
-) -> dict:
+def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
     """Compare the congruence window with the realizable diagonal windows.
 
     Checks two inclusions exactly and reports the colength of each as its
     gap, never asserted to vanish.  S_g lies in the diagonal lattice by
     construction, since the Adams windows spanning S_g generate part of it;
     the windows of the phi functionals alone lying in S_g is the inclusion
-    that can fail.  ``sg`` may pass in :func:`sg_window`'s result.
+    that can fail.  ``sg`` is :func:`sg_window`'s result for window N; its
+    certificate gives q and the caps of the Adams family.
     """
-    if sg is None:
-        sg = sg_window(table.p, N, q=q, caps=caps, margin=margin)
     sg, cert = sg
-    diagonal = diagonal_window_lattice(N, n, table, caps=caps, q=q)
+    diagonal = diagonal_window_lattice(N, n, table, caps=(cert.m_cap, cert.s_cap), q=cert.q)
     phi = phi_window_lattice(N, n, table)
     inclusion, gap = lattice_inclusion(sg, diagonal)
     phi_inclusion, phi_gap = lattice_inclusion(phi, sg)

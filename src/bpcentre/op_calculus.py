@@ -133,8 +133,8 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> Matrix:
             for beta, value in op.support if weight(beta, p) <= r
         ))
         col = [Fraction(0)] * len(basis)
-        for (v, t, m), c in image.terms.items():
-            if t or m or v not in index:
+        for (v, t), c in image.terms.items():
+            if t or v not in index:
                 raise ConsistencyError(
                     f"image of v^{gamma} under {op.name} leaves the weight-{r} basis"
                 )

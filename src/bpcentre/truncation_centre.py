@@ -143,7 +143,7 @@ def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fra
     index = {a: i for i, a in enumerate(bases[r])}
     entries: dict[tuple[int, int], dict[int, Fraction]] = {}
     for j, gamma in enumerate(bases[r]):
-        for (a, beta, _m), c in table.eta(gamma).terms.items():
+        for (a, beta), c in table.eta(gamma).terms.items():
             s = weight(beta, p)
             src = bases[s]
             first = offsets[s] + src.index(beta)

@@ -40,8 +40,8 @@ def test_criterion_1_eta_integrity():
         assert ok, (gamma, offenders)
 
     assert table.eta((1,)) == GradedPoly(3, {
-        ((1,), (), ()): Fraction(1),
-        ((), (1,), ()): Fraction(3),
+        ((1,), ()): Fraction(1),
+        ((), (1,)): Fraction(3),
     })
 
     for gamma in table.keys():

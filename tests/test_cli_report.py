@@ -188,6 +188,50 @@ def test_corrupt_cache_fails_closed(tmp_path, capsys):
             assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
 
 
+
+def _tamper(payload, how):
+    """The p=3 W=4 cache document with one defect, and the text naming it."""
+    v1_squared = next(e for e in payload["entries"] if e["v_exponents"] == [2])
+    v1_fourth = next(e for e in payload["entries"] if e["v_exponents"] == [4])
+    v1_t1 = next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])
+    if how == "convention":
+        payload["convention"] = "araki"
+        return "'araki'"
+    if how == "entry":
+        twin = json.loads(json.dumps(v1_squared))
+        next(t for t in twin["terms"] if t["v_exponents"] == [1])["coefficient_numerator"] = "9"
+        payload["entries"].append(twin)
+        return "repeated entry v^(2,)"
+    if how == "zero":
+        v1_fourth["terms"].append({"v_exponents": [0, 1], "t_exponents": [],
+                                   "coefficient_numerator": "0",
+                                   "coefficient_denominator": "1"})
+        return "entry v^(4,): zero coefficient"
+    twin = dict(v1_t1, coefficient_numerator="9")
+    if how == "normalised term":
+        twin["v_exponents"] = [1, 0]
+    v1_squared["terms"].append(twin)
+    return "entry v^(2,): repeated term"
+
+
+@pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention"])
+def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
+    from bpcentre.bp_hopf import EtaRTable
+
+    payload = EtaRTable(3, 4).populate().to_payload()
+    named = _tamper(payload, how)
+    cache_dir = tmp_path / "cache"
+    os.makedirs(cache_dir)
+    path = cache_dir / "etaR_p3_hazewinkel_w4.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    flags = ["--p", "3", "--max-weight", "4", "--cache", str(cache_dir)]
+    window = ["--N", "2", "--heights", "1"]
+    for command in (["eta-table"], ["verify", "all", *window], ["lattices", *window]):
+        code, out = run_cli(capsys, command + flags)
+        assert code == 1, (command, out)
+        assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
+        assert named in out
+
 def test_build_config_window_defaults():
     import argparse
     ns = argparse.Namespace(
