@@ -18,9 +18,9 @@ import hashlib
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
-from .dvr_arith import is_odd_prime, valuation
+from .dvr_arith import is_odd_prime
 from .monomial_order import (
     Exp,
     add,
@@ -222,9 +222,14 @@ class GradedPoly:
 
 
 def check_integrality(poly: GradedPoly):
-    """Whether every coefficient lies in Z_(p); offenders listed if not."""
+    """Whether every coefficient lies in Z_(p); offenders listed if not.
+
+    A reduced fraction has negative valuation exactly when p divides its
+    denominator, so only denominators are tested.
+    """
+    p = poly.p
     offenders = sorted(
-        ((key, coeff) for key, coeff in poly.terms.items() if valuation(coeff, poly.p) < 0),
+        ((key, coeff) for key, coeff in poly.terms.items() if coeff.denominator % p == 0),
         key=lambda kv: mono_sort_key(kv[0]),
     )
     return (not offenders), offenders
@@ -359,25 +364,42 @@ class EtaRTable:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EtaRTable":
+        """Rebuild a table in one validating pass over its terms.
+
+        Each distinct raw exponent list is normalised and weighed once; the
+        memo is keyed on element types too, since ``1 == 1.0 == True``.
+        """
         try:
             if payload["convention"] != CONVENTION:
                 raise ValueError(f"unsupported generator convention {payload['convention']!r}")
             table = cls(int(payload["prime"]), int(payload["max_weight"]))
+            seen: dict = {}
+
+            def exponent(raw):
+                key = (tuple(map(type, raw)), tuple(raw))
+                if key not in seen:
+                    exp = normalize(raw)
+                    seen[key] = exp, weight(exp, table.p)
+                return seen[key]
+
             for entry in payload["entries"]:
-                gamma = normalize(tuple(entry["v_exponents"]))
+                gamma, w = exponent(entry["v_exponents"])
                 if gamma in table._cache:
                     raise ValueError(f"repeated entry v^{gamma}")
                 terms: dict[Mono, Fraction] = {}
                 for term in entry["terms"]:
-                    key = (normalize(tuple(term["v_exponents"])),
-                           normalize(tuple(term["t_exponents"])))
-                    if key in terms:
-                        raise ValueError(f"entry v^{gamma}: repeated term {key}")
-                    terms[key] = Fraction(int(term["coefficient_numerator"]),
-                                          int(term["coefficient_denominator"]))
-                    if not terms[key]:
-                        raise ValueError(f"entry v^{gamma}: zero coefficient of {key}")
-                table._store(gamma, GradedPoly(table.p, terms))
+                    (v, wv), (t, wt) = exponent(term["v_exponents"]), exponent(term["t_exponents"])
+                    if (v, t) in terms:
+                        raise ValueError(f"entry v^{gamma}: repeated term {(v, t)}")
+                    coeff = Fraction(int(term["coefficient_numerator"]),
+                                     int(term["coefficient_denominator"]))
+                    if not coeff:
+                        raise ValueError(f"entry v^{gamma}: zero coefficient of {(v, t)}")
+                    if wv + wt != w:
+                        raise ValueError(f"entry v^{gamma}: term {(v, t)} has weight "
+                                         f"{wv + wt}, not {w}")
+                    terms[v, t] = coeff
+                table._store(gamma, GradedPoly._trusted(table.p, terms, w))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed cache document: {exc}") from exc
         expected = {
@@ -388,17 +410,19 @@ class EtaRTable:
         return table
 
     def to_bytes(self) -> bytes:
-        """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly."""
+        """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly;
+        each distinct exponent is rendered, and each monomial keyed, once."""
         self.populate()
+        text, order = cache(lambda e: _json_list(e, 10)), cache(mono_sort_key)
         entries = []
         for gamma in self.keys():
             terms = self._cache[gamma].terms
             rows = [
-                f'{{\n          "v_exponents": {_json_list(v, 10)},\n'
-                f'          "t_exponents": {_json_list(t, 10)},\n'
+                f'{{\n          "v_exponents": {text(v)},\n'
+                f'          "t_exponents": {text(t)},\n'
                 f'          "coefficient_numerator": "{terms[v, t].numerator}",\n'
                 f'          "coefficient_denominator": "{terms[v, t].denominator}"\n        }}'
-                for v, t in sorted(terms, key=mono_sort_key)
+                for v, t in sorted(terms, key=order)
             ]
             entries.append(f'{{\n      "v_exponents": {_json_list(gamma, 6)},\n'
                            f'      "terms": {_json_list(rows, 6)}\n    }}')

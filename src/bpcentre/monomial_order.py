@@ -110,23 +110,6 @@ def enumerate_weight(r: int, p: int, max_index: int | None = None) -> list[Exp]:
     return sorted(rec(r, max_index), key=sort_key)
 
 
-def count_weight(r: int, p: int, max_index: int | None = None) -> int:
-    """Number of sequences of weight r, by the coin-counting recurrence.
-
-    Independent of :func:`enumerate_weight`; used to cross-check it.
-    """
-    if r < 0:
-        raise ValueError("weight must be non-negative")
-    if max_index is None:
-        max_index = max_generator_index(r, p)
-    counts = [1] + [0] * r
-    for i in range(1, max_index + 1):
-        w = generator_weight(i, p)
-        for s in range(w, r + 1):
-            counts[s] += counts[s - w]
-    return counts[r]
-
-
 def in_ideal(a: Exp, n: int) -> bool:
     """Whether v^a lies in the ideal generated by the generators above index n."""
     if n < 0:

@@ -57,10 +57,6 @@ class BlockSplit:
     def r_basis(self) -> tuple[Exp, ...]:
         return tuple(self.basis[i] for i in self.r_indices)
 
-    @property
-    def j_basis(self) -> tuple[Exp, ...]:
-        return tuple(self.basis[i] for i in self.j_indices)
-
 
 def block_split(r: int, n: int, p: int) -> BlockSplit:
     """Split the weight-r basis at height n and certify the block order."""

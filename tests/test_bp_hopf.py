@@ -18,6 +18,7 @@ from bpcentre.bp_hopf import (
     hazewinkel_m,
     substitute_m,
 )
+from bpcentre.dvr_arith import valuation
 from bpcentre.monomial_order import add, enumerate_weight, sort_key, unit_exp, weight
 
 
@@ -172,6 +173,16 @@ def test_check_integrality():
     ok, offenders = check_integrality(bad)
     assert not ok
     assert offenders == [(((1,), ()), Fraction(1, 3))]
+    # the denominator test flags exactly the terms of negative valuation
+    mixed = GradedPoly(3, {
+        ((2,), ()): Fraction(1, 3), ((1,), (1,)): Fraction(2, 9),
+        ((), (2,)): Fraction(5, 2),
+    })
+    ok, offenders = check_integrality(mixed)
+    assert not ok
+    assert sorted(offenders) == sorted(
+        (key, c) for key, c in mixed.terms.items() if valuation(c, 3) < 0)
+    assert offenders == [(((2,), ()), Fraction(1, 3)), (((1,), (1,)), Fraction(2, 9))]
 
 
 def test_integrality_of_whole_table(table_p3, table_p5):

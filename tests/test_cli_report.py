@@ -207,6 +207,15 @@ def _tamper(payload, how):
                                    "coefficient_numerator": "0",
                                    "coefficient_denominator": "1"})
         return "entry v^(4,): zero coefficient"
+    if how == "weight":
+        v1_squared["terms"].append({"v_exponents": [3], "t_exponents": [],
+                                    "coefficient_numerator": "1",
+                                    "coefficient_denominator": "1"})
+        return "malformed cache document: entry v^(2,): term ((3,), ()) has weight 3, not 2"
+    if how == "every weight":
+        for term in v1_squared["terms"]:  # times v_1: homogeneous, but of weight 3
+            term["v_exponents"] = [sum(term["v_exponents"]) + 1]
+        return "malformed cache document: entry v^(2,): term ((3,), ()) has weight 3, not 2"
     twin = dict(v1_t1, coefficient_numerator="9")
     if how == "normalised term":
         twin["v_exponents"] = [1, 0]
@@ -214,12 +223,7 @@ def _tamper(payload, how):
     return "entry v^(2,): repeated term"
 
 
-@pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention"])
-def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
-    from bpcentre.bp_hopf import EtaRTable
-
-    payload = EtaRTable(3, 4).populate().to_payload()
-    named = _tamper(payload, how)
+def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
     path = cache_dir / "etaR_p3_hazewinkel_w4.json"
@@ -231,6 +235,54 @@ def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
         assert code == 1, (command, out)
         assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
         assert named in out
+
+
+@pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention",
+                                 "weight", "every weight"])
+def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
+    from bpcentre.bp_hopf import EtaRTable
+
+    payload = EtaRTable(3, 4).populate().to_payload()
+    named = _tamper(payload, how)
+    _assert_p3_w4_document_fails(payload, named, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("where", ["entry", "term"])
+@pytest.mark.parametrize("one", [True, 1.0])
+def test_non_integer_exponents_fail_closed(where, one, tmp_path, capsys):
+    # true and 1.0 compare and hash equal to 1, so a loader that memoizes
+    # exponents by value alone would accept them as the genuine (1,).
+    from bpcentre.bp_hopf import EtaRTable
+
+    payload = EtaRTable(3, 4).populate().to_payload()
+    v1_squared = next(e for e in payload["entries"] if e["v_exponents"] == [2])
+    if where == "entry":
+        v1_squared["v_exponents"] = [one]
+    else:
+        next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])["v_exponents"] = [one]
+    named = "malformed cache document: exponents must be non-negative integers"
+    _assert_p3_w4_document_fails(payload, named, tmp_path, capsys)
+
+
+def test_non_canonical_cache_hit_reports_canonical_fingerprint(tmp_path, capsys):
+    import hashlib
+
+    from bpcentre.bp_hopf import EtaRTable
+
+    cache_dir = tmp_path / "cache"
+    os.makedirs(cache_dir)
+    path = cache_dir / "etaR_p3_hazewinkel_w6.json"
+    path.write_text(json.dumps(EtaRTable(3, 6).to_payload()))
+    expected = EtaRTable(3, 6).fingerprint()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != expected
+    assert EtaRTable.load(path).fingerprint() == expected
+    argv = ["eta-table", "--p", "3", "--max-weight", "6", "--format", "json",
+            "--cache", str(cache_dir)]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    cache = json.loads(out)["cache"]
+    assert (cache["status"], cache["fingerprint"]) == ("hit", expected)
+
 
 def test_build_config_window_defaults():
     import argparse

@@ -6,8 +6,8 @@ import pytest
 from bpcentre.monomial_order import (
     add,
     compare,
-    count_weight,
     enumerate_weight,
+    generator_weight,
     in_ideal,
     max_generator_index,
     normalize,
@@ -117,6 +117,17 @@ def test_enumerate_weight_sorted_and_exhaustive():
                 if weight(a, p) == r:
                     brute.add(a)
             assert set(seqs) == brute
+
+
+def count_weight(r, p):
+    """Number of weight-r sequences by the coin-counting recurrence,
+    independent of enumerate_weight."""
+    counts = [1] + [0] * r
+    for i in range(1, max_generator_index(r, p) + 1):
+        w = generator_weight(i, p)
+        for s in range(w, r + 1):
+            counts[s] += counts[s - w]
+    return counts[r]
 
 
 def test_enumerate_weight_counts_match_recurrence():
