@@ -399,6 +399,8 @@ class EtaRTable:
                         raise ValueError(f"entry v^{gamma}: term {(v, t)} has weight "
                                          f"{wv + wt}, not {w}")
                     terms[v, t] = coeff
+                if {m: c for m, c in terms.items() if not m[1]} != {(gamma, ()): 1}:
+                    raise ValueError(f"entry v^{gamma}: t-free part is not v^{gamma}")
                 table._store(gamma, GradedPoly._trusted(table.p, terms, w))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed cache document: {exc}") from exc

@@ -5,7 +5,7 @@ monomials on the first n generators and the block J of monomials divisible
 by a higher generator; every R monomial precedes every J monomial in the
 right-lex order.  A realized elementary operation vanishes on all of J, so
 its restriction to R is the honest action on the truncated theory, and the
-commutant of the full restricted elementary family is the desk-scale centre.
+commutant of the adjacent E_(a, a+1), E_(a+1, a) is the desk-scale centre.
 
 The window lattice collects, for all weights up to a bound simultaneously,
 the scalar sequences realizable by integral combinations of the generating
@@ -98,14 +98,15 @@ def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> Matrix:
 def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None = None):
     """Commutant of the realized elementary family on the R block.
 
-    Returns (rank, basis matrices).  The family realizes a nonzero multiple
-    of every R-block elementary matrix, so the commutant is the scalars:
-    rank 1 whenever the block is non-empty.  A precomputed ``split`` of the
-    weight and height is used as it is.
+    Returns (rank, basis matrices).  Products of the adjacent mu_bar*E_(a, a+1)
+    and mu_bar*E_(a+1, a) are nonzero multiples of every R-block E_(a, b), so
+    their commutant is the whole family's: the scalars, rank 1 for a non-empty
+    block.  Only they go to :func:`commutant`; a precomputed ``split`` is used.
     """
     r_basis = (split or block_split(r, n, table.p)).r_basis
+    realizations(r, table)  # every column solved and verified, also when |R| = 1
     size = range(len(r_basis))
-    mats = [_elementary(r, r_basis, a, b, table) for a in size for b in size]
+    mats = [_elementary(r, r_basis, a, b, table) for a in size for b in size if abs(a - b) == 1]
     basis = commutant(mats, len(r_basis), table.p)
     return len(basis), basis
 

@@ -194,6 +194,20 @@ def _tamper(payload, how):
     v1_squared = next(e for e in payload["entries"] if e["v_exponents"] == [2])
     v1_fourth = next(e for e in payload["entries"] if e["v_exponents"] == [4])
     v1_t1 = next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])
+    v2 = next(e for e in payload["entries"] if e["v_exponents"] == [0, 1])
+    # eta_R(x) at t = 0 is x; the three t-free defects below pass every term check.
+    t_free = "malformed cache document: entry v^(0, 1): t-free part is not v^(0, 1)"
+    if how == "empty terms":
+        v2["terms"] = []
+        return t_free
+    if how == "extra t-free term":
+        v2["terms"].append({"v_exponents": [4], "t_exponents": [],
+                            "coefficient_numerator": "1", "coefficient_denominator": "1"})
+        return t_free
+    if how == "t-free coefficient":
+        v2_t0 = next(t for t in v2["terms"] if t["v_exponents"] == [0, 1] and not t["t_exponents"])
+        v2_t0["coefficient_numerator"] = "2"
+        return t_free
     if how == "convention":
         payload["convention"] = "araki"
         return "'araki'"
@@ -238,7 +252,8 @@ def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention",
-                                 "weight", "every weight"])
+                                 "weight", "every weight", "empty terms",
+                                 "extra t-free term", "t-free coefficient"])
 def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
     from bpcentre.bp_hopf import EtaRTable
 
@@ -478,6 +493,26 @@ def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
     expected = [beta for r in range(9) for beta in enumerate_weight(r, 3)]
     assert sorted(columns) == sorted(expected)
     assert len(columns) == len(set(columns)) == 15
+
+
+def test_centre_commutant_gets_the_adjacent_elementaries(tmp_path, capsys, monkeypatch):
+    from bpcentre import truncation_centre
+
+    real = truncation_centre.commutant
+    families = []
+
+    def counted(mats, size, p):
+        families.append((len(mats), size))
+        return real(mats, size, p)
+
+    monkeypatch.setattr(truncation_centre, "commutant", counted)
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "8", "--heights", "1,2,3",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(families) == 9 * 3
+    assert max(size for _, size in families) >= 3
+    # E_(a, a+1) and E_(a+1, a) for a + 1 < |R|: 2(|R| - 1) matrices per weight.
+    assert all(count == 2 * (size - 1) for count, size in families), families
 
 
 def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypatch):

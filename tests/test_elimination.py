@@ -21,7 +21,7 @@ from bpcentre.dvr_arith import (
     reduce_mod_p_power,
     valuation,
 )
-from bpcentre.truncation_centre import block_split, projected_elementary
+from bpcentre.truncation_centre import block_split, centre_commutant, projected_elementary
 
 
 def oracle_integral_kernel(rows, ncols, p):
@@ -130,6 +130,8 @@ def test_centre_systems_match_oracle(n, table_p3):
             for vec in expected
         ]
         assert commutant(mats, size, 3) == reshaped, (n, r)
+        # The adjacent elementaries alone give the full family's commutant.
+        assert centre_commutant(r, n, table_p3)[1] == reshaped, (n, r)
 
 
 def test_commutant_of_generic_family_matches_oracle():

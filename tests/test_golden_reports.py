@@ -1,5 +1,6 @@
-"""Report bytes are pinned: three configurations, each in every format that
-renders it.
+"""Report bytes are pinned for four configurations: verify all and lattices
+in every format, eta-table in the two formats that render it, and the
+centre suite in json.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -26,11 +27,14 @@ CONFIGS = {
     "lattices_p5_w8": ["lattices", "--p", "5", "--max-weight", "8", "--N", "4",
                        "--heights", "1,2"],
     "eta_p5_w14": ["eta-table", "--p", "5", "--max-weight", "14"],
+    # W=13 is the first weight with v_3; at height 3 the whole basis is R.
+    "centre_p3_w13": ["verify", "centre", "--p", "3", "--max-weight", "13",
+                      "--heights", "1,2,3"],
 }
 FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
 # The csv format carries no eta-table section, so eta-table is pinned in two.
 CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8") for fmt in FORMATS]
-CASES += [("eta_p5_w14", "json"), ("eta_p5_w14", "markdown")]
+CASES += [("eta_p5_w14", "json"), ("eta_p5_w14", "markdown"), ("centre_p3_w13", "json")]
 
 
 @pytest.mark.parametrize("name,fmt", CASES)
