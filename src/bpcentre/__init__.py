@@ -27,8 +27,10 @@ from .dvr_arith import (
     valuation,
 )
 from .ktheory_lattice import (
+    ClosureError,
     StabilizationError,
     compare_with_diagonal_window,
+    sg_closure,
     sg_membership,
     sg_window,
 )
@@ -65,6 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockSplit",
+    "ClosureError",
     "ConsistencyError",
     "DvrLattice",
     "EtaRTable",
@@ -98,6 +101,7 @@ __all__ = [
     "phi_alpha_beta",
     "phi_beta",
     "projected_elementary",
+    "sg_closure",
     "sg_membership",
     "sg_window",
     "stable_generators",

@@ -1,12 +1,16 @@
 """The coefficient ring and the right unit of the Brown-Peterson Hopf algebroid.
 
-Everything is computed with exact rational arithmetic.  The coefficient ring
-is Z_(p)[v_1, v_2, ...] on the Hazewinkel generators, defined through the
-rational generators m_k by the recursion p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}
-(m_0 = 1).  Co-operations live in Z_(p)[v][t], and the right unit is the ring
-map determined on the rational generators by eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i}
-with t_0 = 1.  Monomials are (v, t) pairs: the m_k appear only inside the
-recursion for eta_R(v_k), and every stored value is checked to be p-integral.
+Everything is computed exactly.  The coefficient ring is Z_(p)[v_1, v_2, ...]
+on the Hazewinkel generators, defined through the rational generators m_k by
+the recursion p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i} (m_0 = 1).  Co-operations
+live in Z_(p)[v][t], and the right unit is the ring map determined on the
+rational generators by eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i} with t_0 = 1.
+Monomials are (v, t) pairs: the m_k, whose coefficients have p-power
+denominators, appear only inside the recursion for eta_R(v_k).  A value of
+eta_R is p-integral and can have no denominator but a power of p, so its
+coefficients are integers: the table stores them as ``int`` and refuses a
+value with any other denominator than 1, and composite values are products
+of integer polynomials.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
 serializes to a deterministic JSON document.
@@ -19,11 +23,11 @@ import json
 import os
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import chain
 
 from .dvr_arith import is_odd_prime
 from .monomial_order import (
     Exp,
-    add,
     enumerate_weight,
     normalize,
     sort_key,
@@ -40,7 +44,8 @@ CONVENTION = "hazewinkel"
 
 
 class IntegralityError(ArithmeticError):
-    """A coefficient that should lie in Z_(p) has negative valuation."""
+    """A right-unit coefficient that is not an integer: one of negative
+    valuation, or one with any other denominator."""
 
     def __init__(self, message, offenders=()):
         super().__init__(message)
@@ -61,16 +66,20 @@ class GradedPoly:
     """A sparse weight-homogeneous polynomial in the v and t generators.
 
     Immutable by convention; the term map sends mixed monomials to non-zero
-    Fraction coefficients, and all stored terms share one total weight.
+    coefficients, ``int`` or ``Fraction`` (the public constructor stores
+    integral values as ``int``), and all stored terms share one total weight.
     """
 
     __slots__ = ("p", "terms", "weight")
 
     def __init__(self, p: int, terms):
-        clean: dict[Mono, Fraction] = {}
+        clean: dict[Mono, int | Fraction] = {}
         w = None
         for key, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if coeff == 0:
                 continue
             v, t = key
@@ -80,7 +89,7 @@ class GradedPoly:
                 w = kw
             elif kw != w:
                 raise ValueError(f"inhomogeneous terms: weight {kw} vs {w}")
-            clean[key] = clean.get(key, Fraction(0)) + coeff
+            clean[key] = clean.get(key, 0) + coeff
         clean = {k: c for k, c in clean.items() if c != 0}
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "terms", clean)
@@ -97,11 +106,11 @@ class GradedPoly:
 
     @classmethod
     def const(cls, p: int, c) -> "GradedPoly":
-        return cls(p, {MONO_ONE: Fraction(c)})
+        return cls(p, {MONO_ONE: c})
 
     @classmethod
     def v_mono(cls, p: int, alpha: Exp, coeff=1) -> "GradedPoly":
-        return cls(p, {(normalize(alpha), ()): Fraction(coeff)})
+        return cls(p, {(normalize(alpha), ()): coeff})
 
     # -- ring structure -----------------------------------------------
 
@@ -129,7 +138,7 @@ class GradedPoly:
     @classmethod
     def sum(cls, p: int, polys) -> "GradedPoly":
         """The sum of polynomials of one weight, accumulated in one dict."""
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, int | Fraction] = {}
         weights = set()
         for poly in polys:
             if poly.p != p:
@@ -159,14 +168,28 @@ class GradedPoly:
             return NotImplemented
         if self.p != other.p:
             raise ValueError("mixed primes")
-        out: dict[Mono, Fraction] = {}
-        for (v1, t1), c1 in self.terms.items():
-            for (v2, t2), c2 in other.terms.items():
-                key = (add(v1, v2), add(t1, t2))
-                out[key] = out.get(key, 0) + c1 * c2
-        terms = {k: c for k, c in out.items() if c}
-        w = self.weight + other.weight if terms else None
-        return GradedPoly._trusted(self.p, terms, w)
+        if not (self.terms and other.terms):
+            return GradedPoly._trusted(self.p, {}, None)
+        # Each key is packed into one int: the v exponents, then the t
+        # exponents, in fields of w.bit_length() bits.  Every generator has
+        # weight >= 1, so no exponent of a weight-w product exceeds w: adding
+        # two packed keys adds their exponents without a carry.
+        w = self.weight + other.weight
+        width = w.bit_length()
+        shift = width * max(len(v) for v, _ in chain(self.terms, other.terms))
+        a, b = _packed(self.terms, width, shift), _packed(other.terms, width, shift)
+        if len(a) < len(b):
+            a, b = b, a
+        out: dict[int, int | Fraction] = {}
+        get = out.get
+        for kb, cb in b:
+            for ka, ca in a:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        unpack = _unpacker(width)
+        low = (1 << shift) - 1
+        terms = {(unpack(k & low), unpack(k >> shift)): c for k, c in out.items() if c}
+        return GradedPoly._trusted(self.p, terms, w if terms else None)
 
     __rmul__ = __mul__
 
@@ -189,7 +212,7 @@ class GradedPoly:
         kept = {k: c for k, c in self.terms.items() if not k[1]}
         return GradedPoly(self.p, kept)
 
-    def pure_t_terms(self) -> dict[Exp, Fraction]:
+    def pure_t_terms(self) -> dict[Exp, int | Fraction]:
         """Coefficients of the monomials involving only t generators."""
         return {t: c for (v, t), c in self.terms.items() if not v}
 
@@ -219,6 +242,41 @@ class GradedPoly:
         return " ".join([first] + parts[1:])
 
     __repr__ = __str__
+
+
+def _packed(terms: dict, width: int, shift: int) -> list[tuple[int, int | Fraction]]:
+    """(packed key, coefficient) per term: exponent i of v in bits
+    [i*width, (i+1)*width), exponent i of t from bit shift + i*width on."""
+    seen: dict[Exp, int] = {}
+
+    def pack(exp: Exp) -> int:
+        x = seen.get(exp)
+        if x is None:
+            x = 0
+            for e in reversed(exp):
+                x = x << width | e
+            seen[exp] = x
+        return x
+
+    return [(pack(v) | pack(t) << shift, c) for (v, t), c in terms.items()]
+
+
+def _unpacker(width: int):
+    """The normalised exponent sequence of a packed part, memoized per part."""
+    mask = (1 << width) - 1
+    seen: dict[int, Exp] = {}
+
+    def unpack(x: int) -> Exp:
+        exp = seen.get(x)
+        if exp is None:
+            key, parts = x, []
+            while x:
+                parts.append(x & mask)
+                x >>= width
+            exp = seen[key] = tuple(parts)
+        return exp
+
+    return unpack
 
 
 def check_integrality(poly: GradedPoly):
@@ -262,9 +320,10 @@ def substitute_m(p: int, groups: dict[int, GradedPoly]) -> GradedPoly:
 class EtaRTable:
     """Memoized values of the right unit on v-monomials, up to a weight bound.
 
-    Entries are p-integral polynomials in v and t, homogeneous of the weight
-    of their key.  Population is deterministic; reads never mutate existing
-    entries, so a populated table is safe to share between threads.
+    Entries are polynomials in v and t with ``int`` coefficients, homogeneous
+    of the weight of their key.  Population is deterministic; reads never
+    mutate existing entries, so a populated table is safe to share between
+    threads.
     """
 
     def __init__(self, p: int, max_weight: int):
@@ -279,16 +338,22 @@ class EtaRTable:
     # -- construction ---------------------------------------------------
 
     def _store(self, gamma: Exp, poly: GradedPoly) -> GradedPoly:
+        """Keep eta_R(v^gamma) with ``int`` coefficients, after checking that
+        it is p-integral, of the weight of gamma, and integer."""
         ok, offenders = check_integrality(poly)
         if not ok:
-            worst = ", ".join(f"{key} -> {c}" for key, c in offenders[:3])
-            raise IntegralityError(
-                f"eta_R(v^{gamma}) has non-integral coefficients: {worst}", offenders
-            )
+            raise _coefficient_error(gamma, "non-integral", offenders)
         if not poly.is_zero() and poly.weight != weight(gamma, self.p):
             raise IntegralityError(
                 f"eta_R(v^{gamma}) is not homogeneous of weight {weight(gamma, self.p)}"
             )
+        if not all(type(c) is int for c in poly.terms.values()):
+            fractional = sorted(((key, c) for key, c in poly.terms.items() if c.denominator != 1),
+                                key=lambda kv: mono_sort_key(kv[0]))
+            if fractional:
+                raise _coefficient_error(gamma, "non-integer", fractional)
+            poly = GradedPoly._trusted(
+                self.p, {key: c.numerator for key, c in poly.terms.items()}, poly.weight)
         self._cache[gamma] = poly
         return poly
 
@@ -367,7 +432,10 @@ class EtaRTable:
         """Rebuild a table in one validating pass over its terms.
 
         Each distinct raw exponent list is normalised and weighed once; the
-        memo is keyed on element types too, since ``1 == 1.0 == True``.
+        memo is keyed on element types too, since ``1 == 1.0 == True``.  A
+        written table puts every coefficient over 1: any other denominator,
+        even one that cancels, raises IntegralityError naming the entry, and
+        a zero one makes the document malformed.
         """
         try:
             if payload["convention"] != CONVENTION:
@@ -382,17 +450,28 @@ class EtaRTable:
                     seen[key] = exp, weight(exp, table.p)
                 return seen[key]
 
+            def integer(raw):  # int() would truncate a JSON number such as 2.5
+                if type(raw) is not str:
+                    raise ValueError(f"coefficient part {raw!r} is not a decimal string")
+                return int(raw)
+
             for entry in payload["entries"]:
                 gamma, w = exponent(entry["v_exponents"])
                 if gamma in table._cache:
                     raise ValueError(f"repeated entry v^{gamma}")
-                terms: dict[Mono, Fraction] = {}
+                terms: dict[Mono, int] = {}
                 for term in entry["terms"]:
                     (v, wv), (t, wt) = exponent(term["v_exponents"]), exponent(term["t_exponents"])
                     if (v, t) in terms:
                         raise ValueError(f"entry v^{gamma}: repeated term {(v, t)}")
-                    coeff = Fraction(int(term["coefficient_numerator"]),
-                                     int(term["coefficient_denominator"]))
+                    coeff = integer(term["coefficient_numerator"])
+                    denominator = integer(term["coefficient_denominator"])
+                    if denominator != 1:
+                        value = Fraction(coeff, denominator)
+                        kind = "non-integral" if value.denominator % table.p == 0 else "non-integer"
+                        raise IntegralityError(
+                            f"eta_R(v^{gamma}) has {kind} coefficients: "
+                            f"{(v, t)} -> {coeff}/{denominator}", [((v, t), value)])
                     if not coeff:
                         raise ValueError(f"entry v^{gamma}: zero coefficient of {(v, t)}")
                     if wv + wt != w:
@@ -462,6 +541,11 @@ class EtaRTable:
 
     def fingerprint(self) -> str:
         return fingerprint_bytes(self.to_bytes())
+
+
+def _coefficient_error(gamma: Exp, what: str, offenders) -> IntegralityError:
+    worst = ", ".join(f"{key} -> {c}" for key, c in offenders[:3])
+    return IntegralityError(f"eta_R(v^{gamma}) has {what} coefficients: {worst}", offenders)
 
 
 def _json_list(items, indent: int) -> str:

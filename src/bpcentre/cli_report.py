@@ -40,9 +40,11 @@ from .dvr_arith import (
     valuation,
 )
 from .ktheory_lattice import (
+    ClosureError,
     StabilizationError,
     adams_sequence,
     compare_with_diagonal_window,
+    sg_closure,
     sg_membership,
     sg_window,
 )
@@ -139,14 +141,23 @@ def load_or_build_table(config: RunConfig):
 
 
 def weight_stats(table: EtaRTable, r: int):
-    """(weight-r monomials, eta_R term count, largest coefficient valuation)."""
-    gammas = enumerate_weight(r, table.p)
+    """(weight-r monomials, eta_R term count, largest coefficient valuation).
+
+    Table coefficients are non-zero ints and the table checked its prime, so
+    each valuation is a plain division loop.
+    """
+    p = table.p
+    gammas = enumerate_weight(r, p)
     terms, max_val = 0, 0
     for gamma in gammas:
         poly = table.eta(gamma)
         terms += len(poly.terms)
         for c in poly.terms.values():
-            max_val = max(max_val, valuation(c, table.p))
+            val = 0
+            while c % p == 0:
+                c //= p
+                val += 1
+            max_val = max(max_val, val)
     return gammas, terms, max_val
 
 
@@ -288,6 +299,11 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
         member = sg_membership(adams_sequence(p, k, N), sg)
         _check(checks, f"sg-generator-membership/k={k}", member is not None,
                "verified certificate" if member is not None else "no certificate")
+    try:
+        keys = sg_closure((sg, cert))
+        _check(checks, f"sg-closure/N={N}", True, f"windows of k={list(keys)} lie in S_g")
+    except ClosureError as exc:
+        _check(checks, f"sg-closure/N={N}", False, str(exc))
     if N >= 1:
         smaller, _ = sg_window(p, N - 1, q=q, caps=config.caps, margin=config.margin)
         nested = all(
@@ -331,6 +347,7 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     p, q, N = config.p, config.q, config.window
     sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
+    sg_closure(sg)
     comparisons = [
         compare_with_diagonal_window(N, n, table, sg)
         for n in config.heights
@@ -484,6 +501,9 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
             report["lattices"] = lattice_report(config, table)
         except StabilizationError as exc:
             sys.stdout.write(f"FAIL stabilization: {exc}\n")
+            return 1
+        except ClosureError as exc:
+            sys.stdout.write(f"FAIL closure: {exc}\n")
             return 1
         except ConsistencyError as exc:
             sys.stdout.write(f"FAIL consistency: {exc}\n")

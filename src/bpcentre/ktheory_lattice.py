@@ -33,6 +33,10 @@ class StabilizationError(RuntimeError):
     """The Adams span kept changing within the configured generator caps."""
 
 
+class ClosureError(RuntimeError):
+    """The Adams window of a p-local integer lies outside the computed S_g."""
+
+
 @dataclass(frozen=True)
 class StabilizationCertificate:
     """Record of how the Adams span stabilized."""
@@ -112,6 +116,26 @@ def sg_membership(w, lattice: DvrLattice):
     if tuple(rebuilt) != vec:
         raise AssertionError("membership certificate failed re-expansion")
     return cert
+
+
+def sg_closure(sg) -> tuple[int, int, int]:
+    """The Adams parameters just outside the caps, each checked to lie in S_g.
+
+    q topologically generates the p-adic units and S_g has finite index, so
+    S_g is p-adically closed and holds the window of every p-local integer.
+    Caps that stop the span short leave out the first parameters past them:
+    p^(s_cap+1), p^(s_cap+1)*q or q^(m_cap+1).  ``sg`` is :func:`sg_window`'s
+    result; returns those k, or raises ClosureError naming the ones missing.
+    """
+    lattice, cert = sg
+    p, N = lattice.p, lattice.ambient_rank - 1
+    top = p ** (cert.s_cap + 1)
+    keys = (top, top * cert.q, cert.q ** (cert.m_cap + 1))
+    missing = [k for k in keys if sg_membership(adams_sequence(p, k, N), lattice) is None]
+    if missing:
+        raise ClosureError(f"the Adams windows of k={missing} lie outside S_g for window "
+                           f"{N} (caps {cert.m_cap},{cert.s_cap}); raise the caps")
+    return keys
 
 
 def lattice_inclusion(inner: DvrLattice, outer: DvrLattice):

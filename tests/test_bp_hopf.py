@@ -460,6 +460,80 @@ def test_sum_of_different_weights_raises_and_cancellation_is_zero():
     assert (GradedPoly.zero(3) * a).weight is None
 
 
+# ---------------------------------------------------------------------------
+# the packed product and integer storage
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_product_matches_tuple_product(p):
+    # Weights up to 20 reach v_3 and t_3 at p = 3 and fields of 5 and 6 bits;
+    # size 0 gives the zero polynomial, and the v and t lengths vary per term.
+    rng = random.Random(100 + p)
+    for _ in range(80):
+        a = random_poly(rng, p, rng.randint(0, 20), rng.randint(0, 8))
+        b = random_poly(rng, p, rng.randint(0, 20), rng.randint(0, 8))
+        assert same(a * b, GradedPoly(p, raw_product(a, b)))
+        assert same(b * a, GradedPoly(p, raw_product(b, a)))
+    zero = GradedPoly.zero(p)
+    for x in (zero * a, a * zero, zero * zero):
+        assert x.is_zero() and x.weight is None
+
+
+def test_packed_product_with_unequal_lengths():
+    # weight 14 at p=3: v_3 t_1, v_1^14, t_1 t_3; times eta_R(v_1) = v_1 + 3 t_1
+    a = GradedPoly(3, {((0, 0, 1), (1,)): 2, ((14,), ()): -1, ((), (1, 0, 1)): Fraction(5, 3)})
+    b = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert same(x * y, GradedPoly(3, raw_product(x, y)))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_packed_product_exponents_that_fill_a_field(k):
+    # a + b = 2^k - 1 is the largest exponent a field of k bits holds; a carry
+    # out of the v field would land in the t field.
+    for a in range(1, 2**k - 1):
+        b = 2**k - 1 - a
+        x = GradedPoly(3, {((a,), ()): 1, ((), (a,)): 2})
+        y = GradedPoly(3, {((b,), ()): 1, ((), (b,)): -1})
+        assert x * y == GradedPoly(3, raw_product(x, y))
+        assert (x * y).terms[(2**k - 1,), ()] == 1
+        assert (x * y).terms[(), (2**k - 1,)] == -2
+
+
+def test_store_refuses_non_integer_coefficients():
+    table = EtaRTable(3, 2)
+    bad = GradedPoly(3, {((1,), ()): 1, ((), (1,)): Fraction(7, 2)})
+    with pytest.raises(IntegralityError, match=re.escape(
+            "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 7/2")):
+        table._store((1,), bad)
+    integral = GradedPoly._trusted(3, {((1,), ()): Fraction(1), ((), (1,)): Fraction(3)}, 1)
+    assert [type(c) for c in table._store((1,), integral).terms.values()] == [int, int]
+
+
+def test_built_and_loaded_tables_hold_ints(tmp_path):
+    built = EtaRTable(5, 14).populate()
+    built.save(tmp_path / "cache.json")
+    for table in (built, EtaRTable.load(tmp_path / "cache.json")):
+        assert {type(c) for g in table.keys() for c in table.eta(g).terms.values()} == {int}
+
+
+# SHA-256 of the serialized tables as built with Fraction coefficients; p=3
+# W=40 is the only configuration here that reaches eta_R(v_4).
+CACHE_SHA256 = {
+    (3, 30): "062c37d22a549d52ab483ed2e05c8221c93ad9284d349e13b941e57aa58c33a2",
+    (5, 31): "2770de0c8204d3b2232c7507869592d515ebe5501f4b70d871c93d35f530e243",
+    (5, 40): "05266548b36ee9c6eb6d6d14291a1dbb8691851773edf6b9ea92c428ddaf4e16",
+    (7, 20): "dd95d089896c7e8268f163f013641822cf8d0cfc4f53fac46d42f1957785739e",
+    (3, 40): "5e91449495cee6b440e7f4eb61de2d608dc76299d03876a71ee25a6567b54e6c",
+}
+
+
+@pytest.mark.parametrize("p,max_weight", list(CACHE_SHA256))
+def test_table_bytes_are_unchanged(p, max_weight):
+    data = EtaRTable(p, max_weight).populate().to_bytes()
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256[p, max_weight]
+
+
 def test_planted_non_integral_coefficient_fails_populate(monkeypatch):
     from bpcentre import bp_hopf
 

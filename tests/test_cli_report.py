@@ -211,6 +211,11 @@ def _tamper(payload, how):
     if how == "convention":
         payload["convention"] = "araki"
         return "'araki'"
+    if how in ("numerator number", "denominator number"):
+        # int() would read the numerator -4.5 as -4, and the denominator 1.5 as 1
+        number = -4.5 if how == "numerator number" else 1.5
+        v1_t1["coefficient_" + how.split()[0]] = number
+        return f"coefficient part {number} is not a decimal string"
     if how == "entry":
         twin = json.loads(json.dumps(v1_squared))
         next(t for t in twin["terms"] if t["v_exponents"] == [1])["coefficient_numerator"] = "9"
@@ -237,7 +242,8 @@ def _tamper(payload, how):
     return "entry v^(2,): repeated term"
 
 
-def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys):
+def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys,
+                                 failure="FAIL cache", reason="malformed cache document"):
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
     path = cache_dir / "etaR_p3_hazewinkel_w4.json"
@@ -247,13 +253,14 @@ def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys):
     for command in (["eta-table"], ["verify", "all", *window], ["lattices", *window]):
         code, out = run_cli(capsys, command + flags)
         assert code == 1, (command, out)
-        assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
+        assert out.startswith(f"{failure}: cache {path}: {reason}")
         assert named in out
 
 
 @pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention",
                                  "weight", "every weight", "empty terms",
-                                 "extra t-free term", "t-free coefficient"])
+                                 "extra t-free term", "t-free coefficient",
+                                 "numerator number", "denominator number"])
 def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
     from bpcentre.bp_hopf import EtaRTable
 
@@ -277,6 +284,26 @@ def test_non_integer_exponents_fail_closed(where, one, tmp_path, capsys):
         next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])["v_exponents"] = [one]
     named = "malformed cache document: exponents must be non-negative integers"
     _assert_p3_w4_document_fails(payload, named, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("denominator,reason", [
+    ("2", "non-integer"),  # -4/2 = -2: an integer, but not the written -4
+    ("-1", "non-integer"),
+    ("5", "non-integer"),
+    ("3", "non-integral"),
+])
+def test_cache_coefficient_over_anything_but_one_fails_closed(denominator, reason,
+                                                              tmp_path, capsys):
+    from bpcentre.bp_hopf import EtaRTable
+
+    payload = EtaRTable(3, 4).populate().to_payload()
+    v2 = next(e for e in payload["entries"] if e["v_exponents"] == [0, 1])
+    v1_cubed_t1 = next(t for t in v2["terms"] if t["v_exponents"] == [3])
+    assert v1_cubed_t1["coefficient_numerator"] == "-4"
+    v1_cubed_t1["coefficient_denominator"] = denominator
+    _assert_p3_w4_document_fails(
+        payload, f"((3,), (1,)) -> -4/{denominator}", tmp_path, capsys,
+        failure="FAIL integrality", reason=f"eta_R(v^(0, 1)) has {reason} coefficients")
 
 
 def test_non_canonical_cache_hit_reports_canonical_fingerprint(tmp_path, capsys):
@@ -351,6 +378,27 @@ def test_lattices_report_phi_keys(tmp_path, capsys):
     assert lat["phi"]["1"] == [0, 1, 2, 4, 5, 5]
     assert lat["phi_gap"] == {"1": 8, "2": 8}
     assert lat["gap"] == {"1": 0, "2": 0}
+
+
+@pytest.mark.parametrize("window,caps,missing", [("13", "21,1", "[9, 18]"),
+                                                 ("5", "13,0", "[3, 6]")])
+def test_caps_that_stop_the_adams_span_short_fail_closed(window, caps, missing,
+                                                         tmp_path, capsys):
+    # Both caps stabilize, but S_g misses the windows of p^(s_cap+1) and
+    # p^(s_cap+1)*q.
+    args = ["--p", "3", "--max-weight", "13", "--N", window, "--heights", "1",
+            "--caps", caps, "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, ["lattices", *args])
+    assert code == 1
+    assert out.startswith(f"FAIL closure: the Adams windows of k={missing} lie outside S_g "
+                          f"for window {window}")
+    if window == "5":
+        code, out = run_cli(capsys, ["verify", "congruence", *args, "--format", "json"])
+        assert code == 1
+        checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+        assert checks["sg-closure/N=5"]["status"] == "FAIL"
+        assert f"k={missing}" in checks["sg-closure/N=5"]["witness"]
+        assert checks["sg-stabilization/N=5"]["status"] == "PASS"
 
 
 def inject_window_outside_sg(monkeypatch):

@@ -1,12 +1,15 @@
+import re
 from fractions import Fraction
 
 import pytest
 
 from bpcentre.dvr_arith import lattice_membership
 from bpcentre.ktheory_lattice import (
+    ClosureError,
     StabilizationError,
     adams_sequence,
     compare_with_diagonal_window,
+    sg_closure,
     sg_membership,
     sg_window,
 )
@@ -108,3 +111,17 @@ def test_compare_with_diagonal_window(table_p3):
     assert report["gap_colength"] is not None
     assert report["gap_colength"] >= 0
     assert report["stabilization"]["q"] == 2
+
+
+@pytest.mark.parametrize("p,N", [(3, 5), (3, 9), (3, 13), (5, 8)])
+def test_sg_closure_holds_at_default_caps(p, N):
+    sg, cert = sg_window(p, N)
+    q = cert.q
+    assert sg_closure((sg, cert)) == (p**4, p**4 * q, q ** (N + 9))
+
+
+@pytest.mark.parametrize("N,caps,missing", [(13, (21, 1), [9, 18]), (5, (13, 0), [3, 6])])
+def test_sg_closure_fails_when_the_caps_stop_short(N, caps, missing):
+    sg = sg_window(3, N, caps=caps)
+    with pytest.raises(ClosureError, match=re.escape(f"k={missing}")):
+        sg_closure(sg)
