@@ -44,6 +44,7 @@ from .ktheory_lattice import (
     StabilizationError,
     adams_sequence,
     compare_with_diagonal_window,
+    default_caps,
     sg_closure,
     sg_membership,
     sg_window,
@@ -54,7 +55,7 @@ from .monomial_order import (
     sort_key,
     unit_exp,
 )
-from .op_calculus import ConsistencyError, default_caps, mu_matrix, realizations
+from .op_calculus import ConsistencyError, mu_matrix, realizations
 from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
@@ -389,6 +390,8 @@ def render_report(report: dict, fmt: str) -> str:
         writer.writerow(["section", "name", "id", "status", "witness"])
         for key, value in report["config"].items():
             writer.writerow(["config", key, "", "", json.dumps(value)])
+        for key, value in report.get("cache", {}).items():
+            writer.writerow(["cache", key, "", "", value])
         for suite in report["suites"]:
             for check in suite["checks"]:
                 writer.writerow(
@@ -406,6 +409,11 @@ def render_report(report: dict, fmt: str) -> str:
                 if ok in lat:
                     writer.writerow(["lattice", ok.replace("_", "-"), "",
                                      "PASS" if lat[ok] else "FAIL", json.dumps(lat[gap])])
+        for row in report.get("eta", ()):
+            writer.writerow(["eta", f"v_{row['index']}", "", "", row["value"]])
+        for row in report.get("weights", ()):
+            for key in ("monomials", "terms", "max_coeff_val"):
+                writer.writerow(["weight", f"w={row['weight']}", key, "", row[key]])
         return buf.getvalue()
 
     lines = ["# bpcentre report", "", "## configuration", ""]

@@ -72,18 +72,25 @@ def reduce_mod_p_power(x, p: int, e: int) -> int:
 
 
 def generates_units_mod_p2(q: int, p: int) -> bool:
-    """Whether q generates the units of Z/p^2.
+    """Whether q generates the units of Z/p^2, for an odd prime p.
 
-    For odd p such a q is a topological generator of the p-adic units.
+    The units are cyclic of order p(p-1), so a unit q generates them exactly
+    when q^(p(p-1)/l) != 1 mod p^2 for every prime l dividing p(p-1).  Such
+    a q is a topological generator of the p-adic units.
     """
-    mod = p * p
     if q % p == 0:
         return False
-    order, acc = 1, q % mod
-    while acc != 1:
-        acc = acc * q % mod
-        order += 1
-    return order == p * (p - 1)
+    primes, m, d = {p}, p - 1, 2
+    while d * d <= m:
+        if m % d:
+            d += 1
+        else:
+            primes.add(d)
+            m //= d
+    if m > 1:
+        primes.add(m)
+    order = p * (p - 1)
+    return all(pow(q, order // l, p * p) != 1 for l in primes)
 
 
 def topological_generator(p: int) -> int:

@@ -25,7 +25,7 @@ from .dvr_arith import (
     lattice_membership,
     topological_generator,
 )
-from .op_calculus import adams_sequence, default_caps
+from .op_calculus import adams_sequence
 from .truncation_centre import diagonal_window_lattice, phi_window_lattice
 
 
@@ -35,6 +35,11 @@ class StabilizationError(RuntimeError):
 
 class ClosureError(RuntimeError):
     """The Adams window of a p-local integer lies outside the computed S_g."""
+
+
+def default_caps(N: int) -> tuple[int, int]:
+    """Default generator caps (M, S) of the Adams family for window N."""
+    return N + 8, 3
 
 
 @dataclass(frozen=True)
@@ -152,14 +157,14 @@ def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
     """Compare the congruence window with the realizable diagonal windows.
 
     Checks two inclusions exactly and reports the colength of each as its
-    gap, never asserted to vanish.  S_g lies in the diagonal lattice by
-    construction, since the Adams windows spanning S_g generate part of it;
-    the windows of the phi functionals alone lying in S_g is the inclusion
-    that can fail.  ``sg`` is :func:`sg_window`'s result for window N; its
-    certificate gives q and the caps of the Adams family.
+    gap, never asserted to vanish.  The diagonal lattice is L_phi + S_g
+    (:func:`diagonal_window_lattice`), so S_g lies in it by construction and
+    its gap is 0 exactly when L_phi lies in S_g; the windows of the phi
+    functionals alone lying in S_g is the inclusion that can fail.  ``sg``
+    is :func:`sg_window`'s result for window N.
     """
     sg, cert = sg
-    diagonal = diagonal_window_lattice(N, n, table, caps=(cert.m_cap, cert.s_cap), q=cert.q)
+    diagonal = diagonal_window_lattice(N, n, table, sg)
     phi = phi_window_lattice(N, n, table)
     inclusion, gap = lattice_inclusion(sg, diagonal)
     phi_inclusion, phi_gap = lattice_inclusion(phi, sg)

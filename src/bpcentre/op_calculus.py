@@ -155,11 +155,6 @@ def adams_sequence(p: int, k, N: int) -> tuple[Fraction, ...]:
     return tuple(k ** ((p - 1) * i) for i in range(N + 1))
 
 
-def default_caps(N: int) -> tuple[int, int]:
-    """Default generator caps (M, S) of the Adams family for window N."""
-    return N + 8, 3
-
-
 def adams_matrix(p: int, k, r: int) -> Matrix:
     """The Adams operation for parameter k in weight r: k^((p-1)r) * I."""
     c = adams_sequence(p, k, r)[r]

@@ -12,15 +12,14 @@ the scalar sequences realizable by integral combinations of the generating
 operations (the spanning degree-zero functionals together with the Adams
 family) whose action preserves the J block and is scalar on R modulo J.
 Adams operations act as scalars, so that lattice is the sum of the windows
-of the functionals alone (one integral kernel) and the Adams windows (one
-echelon form).
+of the functionals alone (one integral kernel) and the span S_g of the Adams
+windows, which ``ktheory_lattice`` builds and certifies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -30,16 +29,9 @@ from .dvr_arith import (
     echelon_lattice,
     integral_kernel,
     is_integral,
-    topological_generator,
 )
 from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, weight
-from .op_calculus import (
-    ConsistencyError,
-    adams_sequence,
-    default_caps,
-    per_table,
-    realizations,
-)
+from .op_calculus import ConsistencyError, adams_sequence, per_table, realizations
 
 
 @dataclass(frozen=True)
@@ -111,18 +103,6 @@ def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None 
     return len(basis), basis
 
 
-def default_adams_keys(p: int, max_weight: int, caps=None, q: int | None = None) -> list[int]:
-    """Adams parameters p^s * q^a (plus 0) used as window generators."""
-    if q is None:
-        q = topological_generator(p)
-    m_cap, s_cap = caps if caps is not None else default_caps(max_weight)
-    keys = [0]
-    for s in range(s_cap + 1):
-        for a in range(m_cap + 1):
-            keys.append(p**s * q**a)
-    return keys
-
-
 @per_table
 def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fraction]]:
     """{(i, j): {generator: entry}}, the non-zero weight-r action entries of
@@ -184,15 +164,7 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     return echelon_lattice(p, [vec[n_gen:] for vec in kernel], N + 1)
 
 
-@lru_cache(maxsize=64)
-def adams_window_lattice(p: int, N: int, adams_keys: tuple[int, ...]) -> DvrLattice:
-    """Lattice L_A spanned by the Adams windows (k^((p-1)r))_r, 0^0 = 1."""
-    return echelon_lattice(p, [adams_sequence(p, k, N) for k in adams_keys], N + 1)
-
-
-def diagonal_window_lattice(
-    N: int, n: int, table: EtaRTable, caps=None, q: int | None = None
-) -> DvrLattice:
+def diagonal_window_lattice(N: int, n: int, table: EtaRTable, sg: DvrLattice) -> DvrLattice:
     """Lattice of scalar windows (mu_0, ..., mu_N) of realizable diagonals.
 
     A window is admitted when one integral combination of the generating
@@ -201,19 +173,21 @@ def diagonal_window_lattice(
     J block into itself and restricts to mu_r times the identity on the R
     block modulo J.
 
-    In the linear system over phi unknowns x, Adams unknowns y and window
-    unknowns mu, the y_k and the mu_r occur only in the rows (i, i) with i
-    in R, with coefficients k^((p-1)r) and -1.  So (x, y, mu) is an
-    integral solution exactly when (x, 0, mu - sum_k y_k adams(k)) is one,
-    and the projection of the saturated kernel onto mu is L_phi + L_A: the
-    echelon form of :func:`phi_window_lattice` together with
-    :func:`adams_window_lattice`.
+    ``sg`` is the S_g of ``ktheory_lattice.sg_window`` for window N: the span
+    of the Adams windows (k^((p-1)r))_r within the caps, certified by its
+    stabilization loop and by ``sg_closure``.  In the linear system over phi
+    unknowns x, Adams unknowns y and window unknowns mu, the y_k and the mu_r
+    occur only in the rows (i, i) with i in R, with coefficients k^((p-1)r)
+    and -1.  So (x, y, mu) is an integral solution exactly when
+    (x, 0, mu - sum_k y_k adams(k)) is one, and the projection of the
+    saturated kernel onto mu is L_phi + S_g: the echelon form of
+    :func:`phi_window_lattice` together with ``sg``.
     """
-    p = table.p
-    keys = tuple(default_adams_keys(p, N, caps=caps, q=q))
+    if sg.p != table.p or sg.ambient_rank != N + 1:
+        raise ValueError(f"S_g must be a window-{N} lattice at p={table.p}, got "
+                         f"ambient rank {sg.ambient_rank} at p={sg.p}")
     phi = phi_window_lattice(N, n, table)
-    adams = adams_window_lattice(p, N, keys)
-    return echelon_lattice(p, phi.basis + adams.basis, N + 1)
+    return echelon_lattice(table.p, phi.basis + sg.basis, N + 1)
 
 
 def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[Matrix]:

@@ -129,7 +129,7 @@ def test_criterion_6_congruence_inclusion(table_p3):
     for N in range(6):
         sg, _ = sg_window(3, N)
         for n in (1, 2):
-            diag = diagonal_window_lattice(N, n, table_p3)
+            diag = diagonal_window_lattice(N, n, table_p3, sg)
             for col in sg.basis:
                 assert lattice_membership(col, diag) is not None, (N, n, col)
             divisor_table.append(

@@ -367,6 +367,10 @@ def test_generator_q_is_accepted(q):
     assert RunConfig(p=3, q=q).as_dict()["q"] == q
 
 
+def test_large_p_resolves_q_without_stepping_through_powers():
+    assert RunConfig(p=10007).q == 5
+
+
 def test_lattices_report_phi_keys(tmp_path, capsys):
     argv = ["lattices", "--p", "3", "--max-weight", "5", "--N", "5",
             "--heights", "1,2", "--format", "json",
@@ -432,6 +436,7 @@ def test_phi_inclusion_check_can_fail(tmp_path, capsys, monkeypatch):
     assert lat["phi_inclusion"] is False
     assert lat["phi_gap"] == {"1": None}
     assert lat["inclusion"] is True
+    assert lat["gap"]["1"] > 0  # the diagonal lattice L_phi + S_g is larger than S_g
 
 
 def test_truncated_cache_names_its_path(tmp_path, capsys):

@@ -8,6 +8,7 @@ from bpcentre.dvr_arith import (
     INFINITY,
     commutant,
     echelon_lattice,
+    generates_units_mod_p2,
     integral_kernel,
     is_integral,
     lattice_membership,
@@ -63,6 +64,24 @@ def test_topological_generator():
     assert topological_generator(7) == 3
     with pytest.raises(ValueError):
         topological_generator(2)
+
+
+def order_loop_generates(q, p):
+    """Reference: step through the powers of q mod p^2 until 1."""
+    mod = p * p
+    if q % p == 0:
+        return False
+    order, acc = 1, q % mod
+    while acc != 1:
+        acc = acc * q % mod
+        order += 1
+    return order == p * (p - 1)
+
+
+def test_generates_units_matches_order_loop():
+    for p in (x for x in range(3, 60, 2) if all(x % d for d in range(3, x, 2))):
+        for q in range(-3, p * p + 5):
+            assert generates_units_mod_p2(q, p) == order_loop_generates(q, p), (p, q)
 
 
 def test_echelon_full_lattice():

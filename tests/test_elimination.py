@@ -21,6 +21,7 @@ from bpcentre.dvr_arith import (
     reduce_mod_p_power,
     valuation,
 )
+from bpcentre.ktheory_lattice import sg_window
 from bpcentre.truncation_centre import block_split, centre_commutant, projected_elementary
 
 
@@ -161,17 +162,16 @@ def test_window_systems_match_oracles(monkeypatch):
 
     monkeypatch.setattr(truncation_centre, "integral_kernel", record_kernel)
     monkeypatch.setattr(truncation_centre, "echelon_lattice", record_echelon)
-    truncation_centre.adams_window_lattice.cache_clear()
     table = EtaRTable(3, 9).populate()  # fresh, so no window is cached
     for N in (0, 1, 2, 5, 9):
+        sg, _ = sg_window(3, N)
         for n in (1, 2):
-            truncation_centre.diagonal_window_lattice(N, n, table)
-    truncation_centre.adams_window_lattice.cache_clear()
+            truncation_centre.diagonal_window_lattice(N, n, table, sg)
 
     assert len(kernels) == 10
     for rows, ncols, p in kernels:
         assert integral_kernel(rows, ncols, p) == oracle_integral_kernel(rows, ncols, p)
-    assert len(echelons) == 25
+    assert len(echelons) == 20
     for p, generators, ambient_rank in echelons:
         assert echelon_lattice(p, generators, ambient_rank) == \
             oracle_echelon_lattice(p, generators, ambient_rank)

@@ -1,6 +1,6 @@
-"""Report bytes are pinned for four configurations: verify all and lattices
-in every format, eta-table in the two formats that render it, and the
-centre suite in json.
+"""Report bytes are pinned for five configurations: verify all, lattices
+and eta-table in every format, the deeper p=3 lattices run in json and
+markdown, and the centre suite in json.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -26,15 +26,19 @@ CONFIGS = {
                      "--heights", "1,2,3"],
     "lattices_p5_w8": ["lattices", "--p", "5", "--max-weight", "8", "--N", "4",
                        "--heights", "1,2"],
+    # The lattices-deep benchmark configuration.
+    "lattices_p3_w13": ["lattices", "--p", "3", "--max-weight", "13", "--N", "9",
+                        "--heights", "1,2"],
     "eta_p5_w14": ["eta-table", "--p", "5", "--max-weight", "14"],
     # W=13 is the first weight with v_3; at height 3 the whole basis is R.
     "centre_p3_w13": ["verify", "centre", "--p", "3", "--max-weight", "13",
                       "--heights", "1,2,3"],
 }
 FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
-# The csv format carries no eta-table section, so eta-table is pinned in two.
-CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8") for fmt in FORMATS]
-CASES += [("eta_p5_w14", "json"), ("eta_p5_w14", "markdown"), ("centre_p3_w13", "json")]
+CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14")
+         for fmt in FORMATS]
+CASES += [("lattices_p3_w13", "json"), ("lattices_p3_w13", "markdown"),
+          ("centre_p3_w13", "json")]
 
 
 @pytest.mark.parametrize("name,fmt", CASES)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from bpcentre.dvr_arith import lattice_membership
+from bpcentre.dvr_arith import echelon_lattice, lattice_membership
 from bpcentre.ktheory_lattice import (
     ClosureError,
     StabilizationError,
@@ -125,3 +125,36 @@ def test_sg_closure_fails_when_the_caps_stop_short(N, caps, missing):
     sg = sg_window(3, N, caps=caps)
     with pytest.raises(ClosureError, match=re.escape(f"k={missing}")):
         sg_closure(sg)
+
+
+# The smallest generator of the units mod p^2, and every Adams parameter
+# p^s * q^a within the caps (M, S), plus 0: the span that the diagonal
+# window lattice relies on S_g to be.
+ORACLE_Q = {3: 2, 5: 2, 7: 3}
+
+
+def adams_span_oracle(p, N, q, caps):
+    m_cap, s_cap = caps
+    keys = [0] + [p**s * q**a for s in range(s_cap + 1) for a in range(m_cap + 1)]
+    return echelon_lattice(p, [adams_sequence(p, k, N) for k in keys], N + 1)
+
+
+SPAN_CASES = (
+    [(3, N, {}) for N in range(14)]
+    + [(5, N, {}) for N in range(9)]
+    + [(7, N, {}) for N in range(6)]
+    + [(3, N, {"margin": m}) for N in (5, 9) for m in (1, 2)]
+    + [(3, 13, {"caps": (21, 1)}), (3, 5, {"caps": (13, 0)})]
+    + [(3, N, {"q": 5}) for N in (5, 9)]
+)
+
+
+@pytest.mark.parametrize("p,N,options", SPAN_CASES, ids=[
+    ",".join([f"p={p}", f"N={N}"] + [f"{k}={v}" for k, v in options.items()])
+    for p, N, options in SPAN_CASES])
+def test_sg_window_is_the_span_of_every_adams_window_within_the_caps(p, N, options):
+    lat, cert = sg_window(p, N, **options)
+    q = options.get("q", ORACLE_Q[p])
+    caps = options.get("caps", (N + 8, 3))
+    assert (cert.q, cert.m_cap, cert.s_cap) == (q, *caps)
+    assert lat == adams_span_oracle(p, N, q, caps)

@@ -8,7 +8,6 @@ from bpcentre.op_calculus import ConsistencyError
 from bpcentre.truncation_centre import (
     block_split,
     centre_commutant,
-    default_adams_keys,
     diagonal_window_lattice,
     iota_hat_n_window,
     projected_elementary,
@@ -75,14 +74,14 @@ def test_centre_commutant_rank_one(r, n, table_p3):
 
 
 def test_diagonal_window_lattice_n0_full(table_p3):
-    lat = diagonal_window_lattice(0, 1, table_p3)
+    lat = diagonal_window_lattice(0, 1, table_p3, sg_window(3, 0)[0])
     assert lat.rank == 1
     assert lat.elementary_divisors == (0,)
 
 
 def test_all_ones_window_in_lattice(table_p3):
     for n in (1, 2):
-        lat = diagonal_window_lattice(3, n, table_p3)
+        lat = diagonal_window_lattice(3, n, table_p3, sg_window(3, 3)[0])
         ones = tuple(Fraction(1) for _ in range(4))
         assert lattice_membership(ones, lat) is not None
 
@@ -91,29 +90,29 @@ def test_sg_window_contained_in_diagonal(table_p3):
     for N in range(4):
         for n in (1, 2):
             sg, _ = sg_window(3, N)
-            diag = diagonal_window_lattice(N, n, table_p3)
+            diag = diagonal_window_lattice(N, n, table_p3, sg)
             for col in sg.basis:
                 assert lattice_membership(col, diag) is not None, (N, n, col)
 
 
 def test_monotone_refinement(table_p3):
     for n in (1, 2):
-        bigger = diagonal_window_lattice(3, n, table_p3)
-        smaller = diagonal_window_lattice(2, n, table_p3)
+        bigger = diagonal_window_lattice(3, n, table_p3, sg_window(3, 3)[0])
+        smaller = diagonal_window_lattice(2, n, table_p3, sg_window(3, 2)[0])
         for col in bigger.basis:
             assert lattice_membership(col[:3], smaller) is not None
 
 
 def test_window_bound_checked(table_p3):
     with pytest.raises(ValueError):
-        diagonal_window_lattice(table_p3.max_weight + 1, 1, table_p3)
+        diagonal_window_lattice(table_p3.max_weight + 1, 1, table_p3,
+                                sg_window(3, table_p3.max_weight + 1)[0])
 
 
-def test_default_adams_keys():
-    keys = default_adams_keys(3, 1)
-    assert keys[0] == 0
-    assert 1 in keys and 2 in keys and 3 in keys and 6 in keys
-    assert len(keys) == 1 + 4 * 10  # s <= 3, a <= 9
+def test_diagonal_window_lattice_rejects_a_foreign_sg(table_p3):
+    for sg in (sg_window(3, 2)[0], sg_window(5, 3)[0]):
+        with pytest.raises(ValueError, match="S_g must be a window-3 lattice at p=3"):
+            diagonal_window_lattice(3, 1, table_p3, sg)
 
 
 def test_iota_identity_window():
@@ -141,7 +140,7 @@ def test_iota_rejects_non_integral():
 def test_iota_windows_lie_in_diagonal_lattice(table_p3):
     combos = [{1: 1}, {0: 1}, {2: 1}, {1: 1, 0: -1}, {2: 1, 1: -1}, {6: 1}]
     for n in (1, 2):
-        lat = diagonal_window_lattice(3, n, table_p3)
+        lat = diagonal_window_lattice(3, n, table_p3, sg_window(3, 3)[0])
         for combo in combos:
             mats = iota_hat_n_window(3, combo, 3, n)
             window = tuple(scalar_value(m) for m in mats)

@@ -1,22 +1,26 @@
-"""The diagonal window lattice as L_phi + L_A, against the monolithic system.
+"""The diagonal window lattice as L_phi + S_g, against the monolithic system.
 
 ``monolithic_window_lattice`` keeps the single kernel over phi, Adams and
-window unknowns, with every action matrix built by GradedPoly arithmetic,
-as an independent oracle for the split computation.
+window unknowns, with every action matrix built by GradedPoly arithmetic and
+its own list of Adams parameters at the default caps, as an independent
+oracle for the split computation.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from bpcentre.dvr_arith import echelon_lattice, integral_kernel, lattice_membership
-from bpcentre.ktheory_lattice import adams_sequence, sg_window
+from bpcentre.dvr_arith import (
+    echelon_lattice,
+    integral_kernel,
+    lattice_membership,
+    topological_generator,
+)
+from bpcentre.ktheory_lattice import sg_window
 from bpcentre.monomial_order import enumerate_weight
 from bpcentre.op_calculus import action_matrix, stable_generators
 from bpcentre.truncation_centre import (
-    adams_window_lattice,
     block_split,
-    default_adams_keys,
     diagonal_window_lattice,
     phi_actions,
     phi_window_lattice,
@@ -25,7 +29,8 @@ from bpcentre.truncation_centre import (
 
 def monolithic_window_lattice(N, n, table):
     p = table.p
-    adams_keys = default_adams_keys(p, N)
+    q = topological_generator(p)
+    adams_keys = [0] + [p**s * q**a for s in range(4) for a in range(N + 9)]
     gens = stable_generators(p, N)
     n_gen, n_adams = len(gens), len(adams_keys)
     n_vars = n_gen + n_adams + (N + 1)
@@ -50,14 +55,14 @@ def monolithic_window_lattice(N, n, table):
 @pytest.mark.parametrize("N", range(6))
 def test_split_matches_monolithic_p3(N, table_p3):
     for n in (1, 2, 3):
-        assert diagonal_window_lattice(N, n, table_p3) == \
+        assert diagonal_window_lattice(N, n, table_p3, sg_window(3, N)[0]) == \
             monolithic_window_lattice(N, n, table_p3), (N, n)
 
 
 @pytest.mark.parametrize("N", range(5))
 def test_split_matches_monolithic_p5(N, table_p5):
     for n in (1, 2):
-        assert diagonal_window_lattice(N, n, table_p5) == \
+        assert diagonal_window_lattice(N, n, table_p5, sg_window(5, N)[0]) == \
             monolithic_window_lattice(N, n, table_p5), (N, n)
 
 
@@ -76,14 +81,6 @@ def test_phi_actions_match_action_matrix(p, table_p3, table_p5):
                 for i in range(size)
             )
             assert got == expected, (p, r, g.name)
-
-
-def test_adams_lattice_spans_the_adams_windows():
-    keys = tuple(default_adams_keys(3, 4))
-    lat = adams_window_lattice(3, 4, keys)
-    for k in keys:
-        assert lattice_membership(adams_sequence(3, k, 4), lat) is not None, k
-    assert adams_window_lattice(3, 4, keys) is lat
 
 
 def test_phi_windows_lie_in_sg_with_a_gap(table_p3):
