@@ -1,10 +1,15 @@
 """Exact arithmetic and linear algebra over the p-local integers.
 
-Scalars are ``fractions.Fraction`` values; an element is p-local (lies in
-Z_(p)) when its reduced denominator is prime to p.  All computations here
-are exact.  Lattices (finitely generated submodules of Z_(p)^m) are kept in
-a canonical column echelon form with pure p-power pivots, so that equality
+Scalars are ``int`` or ``fractions.Fraction`` values; an element is p-local
+(lies in Z_(p)) when its reduced denominator is prime to p.  All computations
+here are exact.  Lattices (finitely generated submodules of Z_(p)^m) are kept
+in a canonical column echelon form with pure p-power pivots, so that equality
 of lattices is literal equality of their forms.
+
+The lattice routines work on ``int`` columns: over Z_(p), scaling a vector by
+an integer prime to p does not change its span, so each p-integral input is
+cleared of its denominators first, and elimination scales columns by such
+integers instead of dividing (fraction-free, as in Bareiss's elimination).
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 INFINITY = math.inf
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
 
@@ -104,11 +110,6 @@ def topological_generator(p: int) -> int:
 # plain exact matrices (tuples of row tuples)
 # ---------------------------------------------------------------------------
 
-def as_vector(entries) -> Vector:
-    """The entries as Fractions; Fraction entries are kept as they are."""
-    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in entries)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix size mismatch")
@@ -159,31 +160,89 @@ class DvrLattice:
         """Length of Z_(p)^m / L when full rank; sum of pivot exponents."""
         return sum(self.elementary_divisors)
 
+    @cached_property
+    def integer_columns(self) -> tuple[tuple[list[int], int], ...]:
+        """Each basis column as (c, u), the column being c/u
+        (:func:`integer_scaling`)."""
+        return tuple(integer_scaling(col) for col in self.basis)
 
-def _eliminate(cols: list[list[Fraction]], nrows: int, p: int) -> list[tuple[int, int]]:
-    """Unimodular column elimination of the first nrows rows, in place.
 
-    In each row the active column of least valuation (lowest index on ties)
-    becomes the pivot and clears that row from the other active columns; the
-    multipliers are p-integral by minimality, so the column operations are
-    invertible over Z_(p).  Returns (row, column) per pivot, in row order.
+def integer_scaling(entries) -> tuple[list[int], int]:
+    """(d*v as ints, d) for the vector v of the entries and the least common
+    denominator d of its entries; over Z_(p), v and d*v span the same line
+    exactly when d is prime to p."""
+    v = entries if isinstance(entries, (tuple, list)) else list(entries)
+    try:
+        d = math.lcm(*[x.denominator for x in v])
+    except AttributeError:  # entries that are neither int nor Fraction
+        v = [Fraction(x) for x in v]
+        d = math.lcm(*[x.denominator for x in v])
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _entries(col: list[int], d: int) -> Vector:
+    """The vector col/d, with ``int`` entries wherever they are integers."""
+    if d == 1:
+        return tuple(col)
+    return tuple(x // d if x % d == 0 else Fraction(x, d) for x in col)
+
+
+def _lowest_terms(col: list[int], d: int) -> tuple[list[int], int]:
+    """(col, d) with their common factor cancelled, for the vector col/d."""
+    g = math.gcd(d, *col)
+    return ([x // g for x in col], d // g) if g > 1 else (col, d)
+
+
+def _without_unit_content(col: list[int], p: int) -> list[int]:
+    """col divided by the prime-to-p part of the gcd of its entries."""
+    c = math.gcd(*col)
+    while c and c % p == 0:
+        c //= p
+    return [x // c for x in col] if c > 1 else col
+
+
+def _pivot(candidates: list[int], cols: list[list[int]], row: int, p: int) -> int:
+    """The candidate column of least valuation in row, lowest index on ties."""
+    return min(candidates, key=lambda j: (valuation(cols[j][row], p), j))
+
+
+def _eliminate(cols: list[list[int]], nrows: int, p: int) -> list[tuple[int, int]]:
+    """Unimodular fraction-free column elimination of the first nrows rows,
+    in place.
+
+    In each row the pivot column (see :func:`_pivot`), with entry a, clears
+    the entry b of every other active column: col <- (a/g)*col - (b/g)*pivot
+    for g = gcd(a, b), after which col loses the prime-to-p part of its
+    content.  Both scalings are units of Z_(p) when a has least valuation, so
+    no span changes; a scaling a/g divisible by p would shrink the span and
+    raises.  Returns (row, column) per pivot, in row order.
     """
     _check_prime(p)
     active = list(range(len(cols)))
     pivots = []
     for row in range(nrows):
-        candidates = [j for j in active if cols[j][row] != 0]
+        candidates = [j for j in active if cols[j][row]]
         if not candidates:
             continue
-        piv = min(candidates, key=lambda j: (valuation(cols[j][row], p), j))
+        piv = _pivot(candidates, cols, row, p)
         top = cols[piv]
+        a = top[row]
         for j in candidates:
-            if j != piv:
-                c = cols[j][row] / top[row]
-                cols[j] = [x - c * y if y else x for x, y in zip(cols[j], top)]
+            if j == piv:
+                continue
+            b = cols[j][row]
+            g = math.gcd(a, b)
+            s, t = a // g, b // g
+            if s % p == 0:
+                raise ArithmeticError(
+                    f"row {row}: clearing column {j} against pivot column {piv} "
+                    f"scales it by {s}, which is not a unit at p={p}")
+            cols[j] = _without_unit_content(
+                [s * x - t * y for x, y in zip(cols[j], top)], p)
         pivots.append((row, piv))
         active.remove(piv)
-    assert all(cols[j][row] == 0 for j in active for row in range(nrows))
     return pivots
 
 
@@ -196,35 +255,43 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
     _check_prime(p)
     cols = []
     for g in generators:
-        v = as_vector(g)
-        if len(v) != ambient_rank:
-            raise ValueError(f"vector rank {len(v)} != ambient rank {ambient_rank}")
-        for x in v:
-            if not is_integral(x, p):
-                raise ValueError(f"non-integral entry {x} (valuation {valuation(x, p)})")
-        cols.append(list(v))
+        col, d = integer_scaling(g)
+        if len(col) != ambient_rank:
+            raise ValueError(f"vector rank {len(col)} != ambient rank {ambient_rank}")
+        if d % p == 0:
+            x = next(x for x in (Fraction(n, d) for n in col) if x.denominator % p == 0)
+            raise ValueError(f"non-integral entry {x} (valuation {valuation(x, p)})")
+        cols.append(col)
 
-    echelon: list[list[Fraction]] = []
+    # Each basis column is kept as (c, u): the vector c/u, c[pivot row] = p^e*u.
+    echelon: list[tuple[list[int], int]] = []
     pivots: list[tuple[int, int]] = []
     for row, j in _eliminate(cols, ambient_rank, p):
-        e = valuation(cols[j][row], p)
-        unit = Fraction(p) ** e / cols[j][row]
-        echelon.append([unit * x for x in cols[j]])
+        col = cols[j]
+        e = valuation(col[row], p)
+        u = col[row] // p**e
+        if u < 0:
+            col, u = [-x for x in col], -u
+        echelon.append(_lowest_terms(col, u))
         pivots.append((row, e))
 
-    # Reduce pivot-row entries of earlier columns mod the pivot, top down.
+    # Reduce pivot-row entries of earlier columns mod the pivot, top down:
+    # column i, with entry x = c_i[row]/u_i and representative rep, loses
+    # (x - rep)/p^e = t/u_i times column j.
     for j, (row, e) in enumerate(pivots):
-        mod = Fraction(p) ** e
+        mod = p**e
+        cj, uj = echelon[j]
         for i in range(j):
-            x = echelon[i][row]
-            rep = Fraction(reduce_mod_p_power(x, p, e))
-            q = (x - rep) / mod
-            echelon[i] = [a - q * b for a, b in zip(echelon[i], echelon[j])]
+            ci, ui = echelon[i]
+            rep = reduce_mod_p_power(Fraction(ci[row], ui), p, e)
+            t = (ci[row] - rep * ui) // mod
+            if t:
+                echelon[i] = _lowest_terms([uj * x - t * y for x, y in zip(ci, cj)], ui * uj)
 
     return DvrLattice(
         p=p,
         ambient_rank=ambient_rank,
-        basis=tuple(tuple(col) for col in echelon),
+        basis=tuple(_entries(c, u) for c, u in echelon),
         pivots=tuple(pivots),
     )
 
@@ -234,18 +301,23 @@ def lattice_membership(v, lattice: DvrLattice):
 
     A returned certificate re-multiplies to v exactly.
     """
-    vec = as_vector(v)
-    if len(vec) != lattice.ambient_rank:
+    p = lattice.p
+    residual, d = integer_scaling(v)  # the residual is residual/d
+    if len(residual) != lattice.ambient_rank:
         raise ValueError("vector rank does not match lattice ambient rank")
-    residual = list(vec)
+    if d % p == 0:
+        return None
     coeffs = []
-    for col, (row, _e) in zip(lattice.basis, lattice.pivots):
-        c = residual[row] / col[row]
-        if not is_integral(c, lattice.p):
+    for (c, u), (row, e) in zip(lattice.integer_columns, lattice.pivots):
+        # the column c/u has p^e at its pivot
+        k, rem = divmod(residual[row], p**e)
+        if rem:
             return None
-        coeffs.append(c)
-        residual = [x - c * y for x, y in zip(residual, col)]
-    if any(x != 0 for x in residual):
+        coeffs.append(k if d == 1 else Fraction(k, d))
+        if u != 1:
+            residual, d = [u * x for x in residual], d * u
+        residual = [x - k * y for x, y in zip(residual, c)]
+    if any(residual):
         return None
     return tuple(coeffs)
 
@@ -260,18 +332,21 @@ def integral_kernel(rows, ncols: int, p: int) -> list[Vector]:
     Eliminates the rows stacked over the identity, so the result is
     saturated: every integral vector of the rational kernel is an integral
     combination of the returned basis, the identity part of the columns
-    that were never pivots.
+    that were never pivots.  Each is divided by its own identity entry, a
+    unit, so that entry is 1; rows are cleared of denominators first, which
+    leaves their kernel unchanged.
     """
-    work = [as_vector(row) for row in rows]
+    work = [integer_scaling(row)[0] for row in rows]
     if any(len(row) != ncols for row in work):
         raise ValueError("row length mismatch")
-    one, zero = Fraction(1), Fraction(0)
+    nrows = len(work)
     cols = [
-        [row[j] for row in work] + [one if i == j else zero for i in range(ncols)]
+        [row[j] for row in work] + [1 if i == j else 0 for i in range(ncols)]
         for j in range(ncols)
     ]
-    pivot_cols = {j for _, j in _eliminate(cols, len(work), p)}
-    return [tuple(col[len(work):]) for j, col in enumerate(cols) if j not in pivot_cols]
+    pivot_cols = {j for _, j in _eliminate(cols, nrows, p)}
+    return [_entries(col[nrows:], col[nrows + j])
+            for j, col in enumerate(cols) if j not in pivot_cols]
 
 
 def commutant(mats, size: int, p: int) -> list[Matrix]:
@@ -293,7 +368,7 @@ def commutant(mats, size: int, p: int) -> list[Matrix]:
             for j in range(size):
                 if not (row_terms[i] or col_terms[j]):
                     continue
-                row = [Fraction(0)] * (size * size)
+                row = [0] * (size * size)
                 for b, x in col_terms[j]:
                     row[i * size + b] += x
                 for a, x in row_terms[i]:

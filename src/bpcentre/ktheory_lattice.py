@@ -15,13 +15,14 @@ raises, never silently truncates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
     DvrLattice,
     echelon_lattice,
+    integer_scaling,
     lattice_membership,
     topological_generator,
 )
@@ -84,13 +85,13 @@ def sg_window(
     last_changed = -1
     for a in range(m_cap + 1):
         batch = [adams_sequence(p, p**s * q**a, N) for s in range(s_cap + 1)]
-        grown = echelon_lattice(p, list(lattice.basis) + batch, N + 1)
-        if grown == lattice:
+        # A batch inside the span leaves it, and so its canonical form, as is.
+        if all(lattice_membership(w, lattice) is not None for w in batch):
             streak += 1
         else:
             streak = 0
             last_changed = a
-            lattice = grown
+            lattice = echelon_lattice(p, lattice.basis + tuple(batch), N + 1)
         if streak >= margin:
             cert = StabilizationCertificate(
                 q=q, m_cap=m_cap, s_cap=s_cap, margin=margin,
@@ -109,16 +110,22 @@ def sg_membership(w, lattice: DvrLattice):
     Returns the coefficients over the echelon basis or None; a returned
     certificate has been checked by exact re-expansion.
     """
-    vec = tuple(Fraction(x) for x in w)
+    w = tuple(w)
+    vec, d = integer_scaling(w)  # the window is vec/d
     if len(vec) != lattice.ambient_rank:
         raise ValueError("window length does not match the lattice")
-    cert = lattice_membership(vec, lattice)
+    cert = lattice_membership(w, lattice)
     if cert is None:
         return None
-    rebuilt = [Fraction(0)] * lattice.ambient_rank
-    for c, col in zip(cert, lattice.basis):
-        rebuilt = [x + c * y for x, y in zip(rebuilt, col)]
-    if tuple(rebuilt) != vec:
+    # Re-expand over the integers: with cert = coeffs/dc and the columns c/u,
+    # dc*du * sum(cert_j * column_j) = sum(coeffs_j * (du/u_j) * c_j).
+    coeffs, dc = integer_scaling(cert)
+    du = math.lcm(*[u for _, u in lattice.integer_columns])
+    rebuilt = [0] * len(vec)
+    for k, (c, u) in zip(coeffs, lattice.integer_columns):
+        f = k * (du // u)
+        rebuilt = [x + f * y for x, y in zip(rebuilt, c)]
+    if [x * d for x in rebuilt] != [x * dc * du for x in vec]:
         raise AssertionError("membership certificate failed re-expansion")
     return cert
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
-from .dvr_arith import Matrix, is_integral, valuation
+from .dvr_arith import Matrix, Vector, is_integral, valuation
 from .monomial_order import Exp, enumerate_weight, normalize, weight
 
 _PER_TABLE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
@@ -143,15 +143,18 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> Matrix:
     return tuple(zip(*cols))
 
 
-def adams_sequence(p: int, k, N: int) -> tuple[Fraction, ...]:
+def adams_sequence(p: int, k, N: int) -> Vector:
     """The Adams window (k^((p-1)i)) for i = 0..N, with 0^0 = 1.
 
     k may be any p-local integer, 0 and p included: the parameter-0
-    operation is the identity in weight 0 and zero above.
+    operation is the identity in weight 0 and zero above.  The entries are
+    ``int`` when k is an integer.
     """
     k = Fraction(k)
     if not is_integral(k, p):
         raise ValueError(f"Adams parameter {k} is not p-local")
+    if k.denominator == 1:
+        k = k.numerator
     return tuple(k ** ((p - 1) * i) for i in range(N + 1))
 
 

@@ -153,11 +153,11 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
                 entries = actions.get((i, j), {})
                 if not entries and i != j:
                     continue
-                row = [Fraction(0)] * n_vars
+                row = [0] * n_vars
                 for g, c in entries.items():
                     row[g] = c
                 if i == j:
-                    row[n_gen + r] = Fraction(-1)
+                    row[n_gen + r] = -1
                 rows.append(row)
 
     kernel = integral_kernel(rows, n_vars, p)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bpcentre import dvr_arith
 from bpcentre.dvr_arith import (
     INFINITY,
     commutant,
@@ -135,6 +136,53 @@ def test_membership_examples():
     assert lattice_membership((3, 1), sub) == (Fraction(1), Fraction(1))
     with pytest.raises(ValueError):
         lattice_membership((1, 0, 0), sub)
+
+
+def test_membership_exact_on_rank_deficient_lattice_with_fraction_entries():
+    lat = echelon_lattice(3, [(1, Fraction(1, 2), 0), (0, 3, Fraction(6, 5))], 3)
+    assert lat.pivots == ((0, 0), (1, 1))
+    assert lat.basis == ((1, 2, Fraction(3, 5)), (0, 3, Fraction(6, 5)))
+    b0, b1 = lat.basis
+    for c0, c1 in [(2, 5), (Fraction(1, 2), -7), (0, Fraction(4, 11))]:
+        v = tuple(c0 * x + c1 * y for x, y in zip(b0, b1))
+        assert lattice_membership(v, lat) == (c0, c1)
+    # p-adically outside: a third of the second column; off the span: e_2.
+    assert lattice_membership((0, 1, Fraction(2, 5)), lat) is None
+    assert lattice_membership((0, 0, 1), lat) is None
+
+
+def test_membership_rejects_non_integral_entries():
+    full = echelon_lattice(3, [(1, 0), (0, 1)], 2)
+    assert lattice_membership((Fraction(1, 3), 0), full) is None
+    assert lattice_membership((1, Fraction(2, 9)), full) is None
+    assert lattice_membership((1, Fraction(2, 7)), full) == (1, Fraction(2, 7))
+
+
+def test_echelon_of_ints_equals_echelon_of_fractions():
+    rng = random.Random(5)
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-30, 30) * 3 ** rng.randint(0, 3) for _ in range(m))
+                for _ in range(rng.randint(1, 6))]
+        lat = echelon_lattice(3, gens, m)
+        as_fractions = echelon_lattice(3, [tuple(map(Fraction, g)) for g in gens], m)
+        assert lat == as_fractions
+        assert hash(lat) == hash(as_fractions)
+        if lat.rank == m:  # every row is a pivot row, so every entry is an integer
+            assert all(type(x) is int for col in lat.basis for x in col)
+
+
+def test_eliminate_rejects_a_non_unimodular_update(monkeypatch):
+    def worst_pivot(candidates, cols, row, p):
+        return max(candidates, key=lambda j: (valuation(cols[j][row], p), j))
+
+    assert echelon_lattice(3, [(1, 0), (3, 1)], 2).elementary_divisors == (0, 0)
+    monkeypatch.setattr(dvr_arith, "_pivot", worst_pivot)
+    # Clearing (1, 0) against the pivot 3 would replace it by 3*(1, 0) - (3, 1).
+    with pytest.raises(ArithmeticError, match="row 0: clearing column 0 against pivot column 1"):
+        echelon_lattice(3, [(1, 0), (3, 1)], 2)
+    with pytest.raises(ArithmeticError, match="row 0: clearing column 0"):
+        integral_kernel([(1, 3)], 2, 3)
 
 
 def test_membership_certificate_soundness():

@@ -1,6 +1,7 @@
-"""Report bytes are pinned for five configurations: verify all, lattices
+"""Report bytes are pinned for six configurations: verify all, lattices
 and eta-table in every format, the deeper p=3 lattices run in json and
-markdown, and the centre suite in json.
+markdown, the stress lattices run (window N=13, entries past 500 bits) and
+the centre suite in json.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -29,6 +30,9 @@ CONFIGS = {
     # The lattices-deep benchmark configuration.
     "lattices_p3_w13": ["lattices", "--p", "3", "--max-weight", "13", "--N", "9",
                         "--heights", "1,2"],
+    # The stress window: Adams and kernel entries grow past 500 bits.
+    "lattices_p3_w16_n13": ["lattices", "--p", "3", "--max-weight", "16", "--N", "13",
+                            "--heights", "1,2"],
     "eta_p5_w14": ["eta-table", "--p", "5", "--max-weight", "14"],
     # W=13 is the first weight with v_3; at height 3 the whole basis is R.
     "centre_p3_w13": ["verify", "centre", "--p", "3", "--max-weight", "13",
@@ -38,7 +42,7 @@ FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
 CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14")
          for fmt in FORMATS]
 CASES += [("lattices_p3_w13", "json"), ("lattices_p3_w13", "markdown"),
-          ("centre_p3_w13", "json")]
+          ("lattices_p3_w16_n13", "json"), ("centre_p3_w13", "json")]
 
 
 @pytest.mark.parametrize("name,fmt", CASES)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bpcentre import ktheory_lattice
 from bpcentre.dvr_arith import echelon_lattice, lattice_membership
 from bpcentre.ktheory_lattice import (
     ClosureError,
@@ -62,6 +63,20 @@ def test_unit_vector_membership_decided():
     lat, _ = sg_window(3, 3)
     assert sg_membership((0, 0, 0, 1), lat) is None
     assert sg_membership((0, 0, 0, 9), lat) is not None
+
+
+def test_membership_re_expansion_rejects_a_perturbed_certificate(monkeypatch):
+    lat, _ = sg_window(3, 4)
+    window = adams_sequence(3, 2, 4)
+    cert = sg_membership(window, lat)
+    assert cert is not None
+
+    def perturbed(v, lattice):
+        return (cert[0] + 1,) + cert[1:]
+
+    monkeypatch.setattr(ktheory_lattice, "lattice_membership", perturbed)
+    with pytest.raises(AssertionError, match="re-expansion"):
+        sg_membership(window, lat)
 
 
 def test_membership_length_checked():
@@ -139,6 +154,25 @@ def adams_span_oracle(p, N, q, caps):
     return echelon_lattice(p, [adams_sequence(p, k, N) for k in keys], N + 1)
 
 
+def oracle_sg_window(p, N, q=None, caps=None, margin=4):
+    """The stabilization loop that re-echelons at every step:
+    (lattice, last_changed_a, stopped_at_a)."""
+    q = ORACLE_Q[p] if q is None else q
+    m_cap, s_cap = caps if caps is not None else (N + 8, 3)
+    lattice = echelon_lattice(p, [adams_sequence(p, 0, N)], N + 1)
+    streak, last_changed = 0, -1
+    for a in range(m_cap + 1):
+        batch = [adams_sequence(p, p**s * q**a, N) for s in range(s_cap + 1)]
+        grown = echelon_lattice(p, list(lattice.basis) + batch, N + 1)
+        if grown == lattice:
+            streak += 1
+        else:
+            streak, last_changed, lattice = 0, a, grown
+        if streak >= margin:
+            return lattice, last_changed, a
+    raise AssertionError("the oracle loop did not stabilize")
+
+
 SPAN_CASES = (
     [(3, N, {}) for N in range(14)]
     + [(5, N, {}) for N in range(9)]
@@ -158,3 +192,5 @@ def test_sg_window_is_the_span_of_every_adams_window_within_the_caps(p, N, optio
     caps = options.get("caps", (N + 8, 3))
     assert (cert.q, cert.m_cap, cert.s_cap) == (q, *caps)
     assert lat == adams_span_oracle(p, N, q, caps)
+    # The membership short-cut reaches the same steps as re-echeloning each.
+    assert (lat, cert.last_changed_a, cert.stopped_at_a) == oracle_sg_window(p, N, **options)
