@@ -13,13 +13,14 @@ value with any other denominator than 1, and composite values are products
 of integer polynomials.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
-serializes to a deterministic JSON document.
+serializes to a deterministic JSON document.  A cache is never parsed: the
+table is always built, and a cache file counts only when it holds exactly the
+bytes of that serialization (:meth:`EtaRTable.load`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -427,75 +428,14 @@ class EtaRTable:
             "entries": entries,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "EtaRTable":
-        """Rebuild a table in one validating pass over its terms.
-
-        Each distinct raw exponent list is normalised and weighed once; the
-        memo is keyed on element types too, since ``1 == 1.0 == True``.  A
-        written table puts every coefficient over 1: any other denominator,
-        even one that cancels, raises IntegralityError naming the entry, and
-        a zero one makes the document malformed.
-        """
-        try:
-            if payload["convention"] != CONVENTION:
-                raise ValueError(f"unsupported generator convention {payload['convention']!r}")
-            table = cls(int(payload["prime"]), int(payload["max_weight"]))
-            seen: dict = {}
-
-            def exponent(raw):
-                key = (tuple(map(type, raw)), tuple(raw))
-                if key not in seen:
-                    exp = normalize(raw)
-                    seen[key] = exp, weight(exp, table.p)
-                return seen[key]
-
-            def integer(raw):  # int() would truncate a JSON number such as 2.5
-                if type(raw) is not str:
-                    raise ValueError(f"coefficient part {raw!r} is not a decimal string")
-                return int(raw)
-
-            for entry in payload["entries"]:
-                gamma, w = exponent(entry["v_exponents"])
-                if gamma in table._cache:
-                    raise ValueError(f"repeated entry v^{gamma}")
-                terms: dict[Mono, int] = {}
-                for term in entry["terms"]:
-                    (v, wv), (t, wt) = exponent(term["v_exponents"]), exponent(term["t_exponents"])
-                    if (v, t) in terms:
-                        raise ValueError(f"entry v^{gamma}: repeated term {(v, t)}")
-                    coeff = integer(term["coefficient_numerator"])
-                    denominator = integer(term["coefficient_denominator"])
-                    if denominator != 1:
-                        value = Fraction(coeff, denominator)
-                        kind = "non-integral" if value.denominator % table.p == 0 else "non-integer"
-                        raise IntegralityError(
-                            f"eta_R(v^{gamma}) has {kind} coefficients: "
-                            f"{(v, t)} -> {coeff}/{denominator}", [((v, t), value)])
-                    if not coeff:
-                        raise ValueError(f"entry v^{gamma}: zero coefficient of {(v, t)}")
-                    if wv + wt != w:
-                        raise ValueError(f"entry v^{gamma}: term {(v, t)} has weight "
-                                         f"{wv + wt}, not {w}")
-                    terms[v, t] = coeff
-                if {m: c for m, c in terms.items() if not m[1]} != {(gamma, ()): 1}:
-                    raise ValueError(f"entry v^{gamma}: t-free part is not v^{gamma}")
-                table._store(gamma, GradedPoly._trusted(table.p, terms, w))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"malformed cache document: {exc}") from exc
-        expected = {
-            g for r in range(table.max_weight + 1) for g in enumerate_weight(r, table.p)
-        }
-        if expected != set(table._cache):
-            raise ValueError("cache document does not cover the declared weight bound")
-        return table
-
-    def to_bytes(self) -> bytes:
-        """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly;
-        each distinct exponent is rendered, and each monomial keyed, once."""
+    def _pieces(self) -> list[tuple[str, str]]:
+        """The canonical document as (part, text) pieces in order: the
+        header, each entry v^gamma led by its separator, and the end.  Each
+        distinct exponent is rendered, and each monomial keyed, once."""
         self.populate()
         text, order = cache(lambda e: _json_list(e, 10)), cache(mono_sort_key)
-        entries = []
+        pieces = [("the header", f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
+                                 f'  "max_weight": {self.max_weight},\n  "entries": [')]
         for gamma in self.keys():
             terms = self._cache[gamma].terms
             rows = [
@@ -505,12 +445,16 @@ class EtaRTable:
                 f'          "coefficient_denominator": "{terms[v, t].denominator}"\n        }}'
                 for v, t in sorted(terms, key=order)
             ]
-            entries.append(f'{{\n      "v_exponents": {_json_list(gamma, 6)},\n'
-                           f'      "terms": {_json_list(rows, 6)}\n    }}')
-        return (
-            f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
-            f'  "max_weight": {self.max_weight},\n  "entries": {_json_list(entries, 2)}\n}}\n'
-        ).encode("utf-8")
+            sep = "," if len(pieces) > 1 else ""
+            pieces.append((f"entry v^{gamma}",
+                           f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'
+                           f'      "terms": {_json_list(rows, 6)}\n    }}'))
+        pieces.append(("the end of the document", "\n  ]\n}\n"))
+        return pieces
+
+    def to_bytes(self) -> bytes:
+        """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly."""
+        return "".join(text for _, text in self._pieces()).encode("utf-8")
 
     def save(self, path) -> bytes:
         """Write the serialized table beside path, then move it over path, so
@@ -527,17 +471,24 @@ class EtaRTable:
             raise
         return data
 
-    @classmethod
-    def load(cls, path) -> "EtaRTable":
-        """Read a cache written by :meth:`save`; errors name the file."""
+    def load(self, path) -> bytes:
+        """Compare the cache file at path with this table's serialization and
+        return the bytes.  Only the canonical document is accepted: any other
+        raises ValueError naming the path and the first part that differs
+        (the header, an entry v^gamma or the end of the document)."""
         with open(path, "rb") as fh:
             raw = fh.read()
-        try:
-            return cls.from_payload(json.loads(raw.decode("utf-8")))
-        except IntegralityError as exc:
-            raise IntegralityError(f"cache {path}: {exc}", exc.offenders) from exc
-        except ValueError as exc:
-            raise ValueError(f"cache {path}: {exc}") from exc
+        pieces = self._pieces()
+        data = "".join(text for _, text in pieces).encode("utf-8")
+        if raw != data:
+            at = 0
+            for part, text in pieces:  # ASCII: a piece's length is its byte count
+                if raw[at:at + len(text)] != data[at:at + len(text)]:
+                    break
+                at += len(text)
+            raise ValueError(f"cache {path}: {part} differs from the table built "
+                             f"for p={self.p}, max_weight={self.max_weight}")
+        return data
 
     def fingerprint(self) -> str:
         return fingerprint_bytes(self.to_bytes())

@@ -114,7 +114,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix size mismatch")
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
               for j in range(len(b[0]) if b else 0))
         for i in range(len(a))
     )
@@ -122,7 +122,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def scalar_value(m: Matrix):
     """The scalar c with m == c*I (0 for the empty matrix), or None."""
-    c = m[0][0] if m else Fraction(0)
+    c = m[0][0] if m else 0
     scalar = all(len(row) == len(m) and all(x == (c if i == j else 0)
                                             for j, x in enumerate(row))
                  for i, row in enumerate(m))

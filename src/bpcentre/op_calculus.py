@@ -111,7 +111,7 @@ def mu_matrix(r: int, table: EtaRTable):
     rows = []
     for gamma in basis:
         pure = table.eta(gamma).pure_t_terms()
-        rows.append(tuple(pure.get(beta, Fraction(0)) for beta in basis))
+        rows.append(tuple(pure.get(beta, 0) for beta in basis))
     return basis, tuple(rows)
 
 
@@ -132,7 +132,7 @@ def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> Matrix:
             value * coefficient_of_t(gamma, beta, table)
             for beta, value in op.support if weight(beta, p) <= r
         ))
-        col = [Fraction(0)] * len(basis)
+        col = [0] * len(basis)
         for (v, t), c in image.terms.items():
             if t or v not in index:
                 raise ConsistencyError(
@@ -162,7 +162,7 @@ def adams_matrix(p: int, k, r: int) -> Matrix:
     """The Adams operation for parameter k in weight r: k^((p-1)r) * I."""
     c = adams_sequence(p, k, r)[r]
     size = range(len(enumerate_weight(r, p)))
-    return tuple(tuple(c if i == j else Fraction(0) for j in size) for i in size)
+    return tuple(tuple(c if i == j else 0 for j in size) for i in size)
 
 
 def solve_column(basis, mu, b: int, p: int):
@@ -179,7 +179,7 @@ def solve_column(basis, mu, b: int, p: int):
     s = -min(valuation(c, p) for c in x if c != 0)
     if s < 0:
         raise ConsistencyError("realization scale has negative p-exponent")
-    scale = Fraction(p) ** s
+    scale = p ** s
     return scale, {basis[j]: scale * x[j] for j in range(len(basis)) if x[j] != 0}
 
 
@@ -200,7 +200,7 @@ def realizations(r: int, table: EtaRTable):
     for b, beta in enumerate(basis):
         mu_bar, coeffs = solve_column(basis, mu, b, p)
         terms = [(index[gamma], c) for gamma, c in coeffs.items()]
-        row = [sum((c * mu_j[g] for g, c in terms), Fraction(0)) for mu_j in mu]
+        row = [sum(c * mu_j[g] for g, c in terms) for mu_j in mu]
         if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
                 or any(x != (mu_bar if j == b else 0) for j, x in enumerate(row))):
             raise ConsistencyError(f"realized combination for column {beta} is not "
@@ -231,7 +231,7 @@ def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> Matrix:
     built directly from the mu scalars (row alpha only)."""
     basis, mu = mu_matrix(r, table)
     ia, ib = basis.index(normalize(alpha)), basis.index(normalize(beta))
-    zero = (Fraction(0),) * len(basis)
+    zero = (0,) * len(basis)
     return tuple(tuple(row[ib] for row in mu) if i == ia else zero
                  for i in range(len(basis)))
 

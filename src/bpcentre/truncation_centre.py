@@ -19,7 +19,6 @@ windows, which ``ktheory_lattice`` builds and certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -83,7 +82,7 @@ def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> Matrix:
     """mu_bar * E_(a, b) on the weight-r R basis, for basis indices a and b."""
     mu_bar = realizations(r, table)[r_basis[b]][0]
     size = range(len(r_basis))
-    return tuple(tuple(mu_bar if (i, j) == (a, b) else Fraction(0) for j in size)
+    return tuple(tuple(mu_bar if (i, j) == (a, b) else 0 for j in size)
                  for i in size)
 
 
@@ -104,7 +103,7 @@ def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None 
 
 
 @per_table
-def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fraction]]:
+def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, int]]:
     """{(i, j): {generator: entry}}, the non-zero weight-r action entries of
     every phi(alpha, beta), indexed in :func:`stable_generators` order.
 
@@ -118,7 +117,7 @@ def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, Fra
     for s in range(r):
         offsets.append(offsets[-1] + len(bases[s]) ** 2)
     index = {a: i for i, a in enumerate(bases[r])}
-    entries: dict[tuple[int, int], dict[int, Fraction]] = {}
+    entries: dict[tuple[int, int], dict[int, int]] = {}
     for j, gamma in enumerate(bases[r]):
         for (a, beta), c in table.eta(gamma).terms.items():
             s = weight(beta, p)
@@ -200,11 +199,11 @@ def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[Matrix]
     for k, c in combination.items():
         if not is_integral(c, p):
             raise ValueError("Adams coefficients must be p-local")
-        windows.append((Fraction(c), adams_sequence(p, k, N)))
+        windows.append((c, adams_sequence(p, k, N)))
     mats = []
     for r in range(N + 1):
-        scalar = sum((c * w[r] for c, w in windows), Fraction(0))
+        scalar = sum(c * w[r] for c, w in windows)
         size = range(len(block_split(r, n, p).r_indices))
-        mats.append(tuple(tuple(scalar if i == j else Fraction(0) for j in size)
+        mats.append(tuple(tuple(scalar if i == j else 0 for j in size)
                           for i in size))
     return mats

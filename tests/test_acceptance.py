@@ -181,7 +181,8 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
     table = EtaRTable(3, 7).populate()
     path = tmp_path / "cache.json"
     table.save(path)
-    loaded = EtaRTable.load(path)
+    loaded = EtaRTable(3, 7)
+    assert loaded.load(path) == path.read_bytes()
     assert loaded.to_bytes() == path.read_bytes()
     path2 = tmp_path / "cache2.json"
     loaded.save(path2)

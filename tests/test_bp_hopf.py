@@ -153,8 +153,8 @@ def test_table_rejects_even_prime_and_bad_convention(tmp_path):
     payload["convention"] = "araki"
     path = tmp_path / "cache.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        EtaRTable.load(path)
+    with pytest.raises(ValueError, match=re.escape(f"cache {path}: the header differs")):
+        EtaRTable(3, 5).load(path)
 
 
 def test_coefficient_of_t_examples(table_p3):
@@ -255,15 +255,16 @@ def test_integrality_error_is_raised_on_corrupt_table():
 def test_cache_roundtrip(tmp_path):
     table = EtaRTable(3, 6).populate()
     path = tmp_path / "cache.json"
-    table.save(path)
-    loaded = EtaRTable.load(path)
+    data = table.save(path)
+    loaded = EtaRTable(3, 6)
+    assert loaded.load(path) == data == path.read_bytes()
     assert loaded.p == table.p
     assert loaded.max_weight == table.max_weight
     for gamma in table.keys():
         assert loaded.eta(gamma) == table.eta(gamma)
     # byte-identical resave
     assert loaded.to_bytes() == table.to_bytes()
-    assert loaded.fingerprint() == table.fingerprint()
+    assert loaded.fingerprint() == table.fingerprint() == fingerprint_bytes(data)
 
 
 def test_cache_payload_shape(tmp_path):
@@ -336,8 +337,8 @@ def test_cache_load_errors_name_the_file(tmp_path):
     path = tmp_path / "cache.json"
     data = EtaRTable(3, 6).populate().save(path)
     path.write_bytes(data[:500])
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        EtaRTable.load(path)
+    with pytest.raises(ValueError, match=re.escape(f"cache {path}: entry v^(")):
+        EtaRTable(3, 6).load(path)
 
 
 def test_cache_load_rejects_incomplete(tmp_path):
@@ -345,9 +346,11 @@ def test_cache_load_rejects_incomplete(tmp_path):
     payload = table.to_payload()
     payload["entries"] = payload["entries"][:-1]
     path = tmp_path / "broken.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError):
-        EtaRTable.load(path)
+    for document, part in ((json.dumps(payload), "the header"),
+                           (json.dumps(payload, indent=2) + "\n", "entry v^(0, 1)")):
+        path.write_text(document)
+        with pytest.raises(ValueError, match=re.escape(f"cache {path}: {part} differs")):
+            EtaRTable(3, 4).load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +381,7 @@ def test_fingerprints_match_pins(p, max_weight, tmp_path):
     expected = PINNED_FINGERPRINTS[p, max_weight]
     assert table.fingerprint() == expected
     assert fingerprint_bytes(table.save(tmp_path / "cache.json")) == expected
-    assert EtaRTable.load(tmp_path / "cache.json").fingerprint() == expected
+    assert fingerprint_bytes(EtaRTable(p, max_weight).load(tmp_path / "cache.json")) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,9 @@ def test_store_refuses_non_integer_coefficients():
 def test_built_and_loaded_tables_hold_ints(tmp_path):
     built = EtaRTable(5, 14).populate()
     built.save(tmp_path / "cache.json")
-    for table in (built, EtaRTable.load(tmp_path / "cache.json")):
+    loaded = EtaRTable(5, 14)
+    loaded.load(tmp_path / "cache.json")
+    for table in (built, loaded):
         assert {type(c) for g in table.keys() for c in table.eta(g).terms.values()} == {int}
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -56,6 +57,24 @@ def test_eta_table_build_and_cache_hit(tmp_path, capsys):
     assert cache_file.read_bytes() == first_bytes
     # identical apart from the hit/written line
     assert out.replace("status: written", "status: hit") == out2
+
+
+def test_each_command_serializes_the_table_once(tmp_path, capsys, monkeypatch):
+    from bpcentre.bp_hopf import EtaRTable
+
+    real = EtaRTable._pieces
+    calls = []
+
+    def counted(self):
+        calls.append((self.p, self.max_weight))
+        return real(self)
+
+    monkeypatch.setattr(EtaRTable, "_pieces", counted)
+    flags = ["--p", "3", "--max-weight", "5", "--N", "2", "--cache", str(tmp_path / "cache")]
+    for command in (["eta-table"], ["eta-table"], ["verify", "all"], ["lattices"]):
+        calls.clear()
+        assert run_cli(capsys, command + flags)[0] == 0
+        assert calls == [(3, 5)], command
 
 
 def test_even_prime_is_usage_error(tmp_path, capsys):
@@ -179,82 +198,86 @@ def test_corrupt_cache_fails_closed(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
     path = cache_dir / "etaR_p3_hazewinkel_w3.json"
-    for document in ({"prime": 3}, zero_denominator):
-        path.write_text(json.dumps(document))
+    documents = [(json.dumps({"prime": 3}), "the header"),
+                 (json.dumps(zero_denominator), "the header"),
+                 (json.dumps(zero_denominator, indent=2) + "\n", "entry v^(1,)")]
+    for document, part in documents:
+        path.write_text(document)
         for command in (["eta-table"], ["verify", "all"], ["lattices"]):
             code, out = run_cli(capsys, command + ["--p", "3", "--max-weight", "3",
                                                    "--cache", str(cache_dir)])
             assert code == 1
-            assert out.startswith(f"FAIL cache: cache {path}: malformed cache document")
-
+            assert out.startswith(f"FAIL cache: cache {path}: {part} differs")
 
 
 def _tamper(payload, how):
-    """The p=3 W=4 cache document with one defect, and the text naming it."""
+    """The p=3 W=4 cache document with one defect, and the part that differs
+    from the canonical document."""
     v1_squared = next(e for e in payload["entries"] if e["v_exponents"] == [2])
     v1_fourth = next(e for e in payload["entries"] if e["v_exponents"] == [4])
     v1_t1 = next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])
     v2 = next(e for e in payload["entries"] if e["v_exponents"] == [0, 1])
-    # eta_R(x) at t = 0 is x; the three t-free defects below pass every term check.
-    t_free = "malformed cache document: entry v^(0, 1): t-free part is not v^(0, 1)"
+    # Defects of the t-free part, which is v^gamma in every genuine entry.
     if how == "empty terms":
         v2["terms"] = []
-        return t_free
+        return "entry v^(0, 1)"
     if how == "extra t-free term":
         v2["terms"].append({"v_exponents": [4], "t_exponents": [],
                             "coefficient_numerator": "1", "coefficient_denominator": "1"})
-        return t_free
+        return "entry v^(0, 1)"
     if how == "t-free coefficient":
         v2_t0 = next(t for t in v2["terms"] if t["v_exponents"] == [0, 1] and not t["t_exponents"])
         v2_t0["coefficient_numerator"] = "2"
-        return t_free
+        return "entry v^(0, 1)"
     if how == "convention":
         payload["convention"] = "araki"
-        return "'araki'"
+        return "the header"
     if how in ("numerator number", "denominator number"):
         # int() would read the numerator -4.5 as -4, and the denominator 1.5 as 1
         number = -4.5 if how == "numerator number" else 1.5
         v1_t1["coefficient_" + how.split()[0]] = number
-        return f"coefficient part {number} is not a decimal string"
-    if how == "entry":
+        return "entry v^(2,)"
+    if how == "entry":  # a second, different v^(2,) after the last entry
         twin = json.loads(json.dumps(v1_squared))
         next(t for t in twin["terms"] if t["v_exponents"] == [1])["coefficient_numerator"] = "9"
         payload["entries"].append(twin)
-        return "repeated entry v^(2,)"
+        return "the end of the document"
     if how == "zero":
         v1_fourth["terms"].append({"v_exponents": [0, 1], "t_exponents": [],
                                    "coefficient_numerator": "0",
                                    "coefficient_denominator": "1"})
-        return "entry v^(4,): zero coefficient"
+        return "entry v^(4,)"
     if how == "weight":
         v1_squared["terms"].append({"v_exponents": [3], "t_exponents": [],
                                     "coefficient_numerator": "1",
                                     "coefficient_denominator": "1"})
-        return "malformed cache document: entry v^(2,): term ((3,), ()) has weight 3, not 2"
+        return "entry v^(2,)"
     if how == "every weight":
         for term in v1_squared["terms"]:  # times v_1: homogeneous, but of weight 3
             term["v_exponents"] = [sum(term["v_exponents"]) + 1]
-        return "malformed cache document: entry v^(2,): term ((3,), ()) has weight 3, not 2"
+        return "entry v^(2,)"
     twin = dict(v1_t1, coefficient_numerator="9")
     if how == "normalised term":
         twin["v_exponents"] = [1, 0]
     v1_squared["terms"].append(twin)
-    return "entry v^(2,): repeated term"
+    return "entry v^(2,)"
 
 
-def _assert_p3_w4_document_fails(payload, named, tmp_path, capsys,
-                                 failure="FAIL cache", reason="malformed cache document"):
+def _assert_document_fails(payload, part, tmp_path, capsys, max_weight=4,
+                           window=("--N", "2", "--heights", "1"),
+                           lattice_window=("--N", "2", "--heights", "1")):
+    """Written as the writer lays it out, the document fails every command
+    with exit 1, naming the cache path and the part that differs."""
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
-    path = cache_dir / "etaR_p3_hazewinkel_w4.json"
+    path = cache_dir / f"etaR_p3_hazewinkel_w{max_weight}.json"
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    flags = ["--p", "3", "--max-weight", "4", "--cache", str(cache_dir)]
-    window = ["--N", "2", "--heights", "1"]
-    for command in (["eta-table"], ["verify", "all", *window], ["lattices", *window]):
+    flags = ["--p", "3", "--max-weight", str(max_weight), "--cache", str(cache_dir)]
+    for command in (["eta-table"], ["verify", "all", *window], ["lattices", *lattice_window]):
         code, out = run_cli(capsys, command + flags)
         assert code == 1, (command, out)
-        assert out.startswith(f"{failure}: cache {path}: {reason}")
-        assert named in out
+        assert out == (f"FAIL cache: cache {path}: {part} differs from the table "
+                       f"built for p=3, max_weight={max_weight}\n")
 
 
 @pytest.mark.parametrize("how", ["entry", "term", "normalised term", "zero", "convention",
@@ -265,15 +288,14 @@ def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
     from bpcentre.bp_hopf import EtaRTable
 
     payload = EtaRTable(3, 4).populate().to_payload()
-    named = _tamper(payload, how)
-    _assert_p3_w4_document_fails(payload, named, tmp_path, capsys)
+    part = _tamper(payload, how)
+    _assert_document_fails(payload, part, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("where", ["entry", "term"])
 @pytest.mark.parametrize("one", [True, 1.0])
 def test_non_integer_exponents_fail_closed(where, one, tmp_path, capsys):
-    # true and 1.0 compare and hash equal to 1, so a loader that memoizes
-    # exponents by value alone would accept them as the genuine (1,).
+    # true and 1.0 compare and hash equal to 1, but are not the bytes of 1.
     from bpcentre.bp_hopf import EtaRTable
 
     payload = EtaRTable(3, 4).populate().to_payload()
@@ -282,18 +304,12 @@ def test_non_integer_exponents_fail_closed(where, one, tmp_path, capsys):
         v1_squared["v_exponents"] = [one]
     else:
         next(t for t in v1_squared["terms"] if t["v_exponents"] == [1])["v_exponents"] = [one]
-    named = "malformed cache document: exponents must be non-negative integers"
-    _assert_p3_w4_document_fails(payload, named, tmp_path, capsys)
+    _assert_document_fails(payload, "entry v^(2,)", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("denominator,reason", [
-    ("2", "non-integer"),  # -4/2 = -2: an integer, but not the written -4
-    ("-1", "non-integer"),
-    ("5", "non-integer"),
-    ("3", "non-integral"),
-])
-def test_cache_coefficient_over_anything_but_one_fails_closed(denominator, reason,
-                                                              tmp_path, capsys):
+@pytest.mark.parametrize("denominator", ["2", "-1", "5", "3"])
+def test_cache_coefficient_over_anything_but_one_fails_closed(denominator, tmp_path, capsys):
+    # -4/2 = -2 is an integer, but not the written -4; 3 would be non-integral.
     from bpcentre.bp_hopf import EtaRTable
 
     payload = EtaRTable(3, 4).populate().to_payload()
@@ -301,12 +317,28 @@ def test_cache_coefficient_over_anything_but_one_fails_closed(denominator, reaso
     v1_cubed_t1 = next(t for t in v2["terms"] if t["v_exponents"] == [3])
     assert v1_cubed_t1["coefficient_numerator"] == "-4"
     v1_cubed_t1["coefficient_denominator"] = denominator
-    _assert_p3_w4_document_fails(
-        payload, f"((3,), (1,)) -> -4/{denominator}", tmp_path, capsys,
-        failure="FAIL integrality", reason=f"eta_R(v^(0, 1)) has {reason} coefficients")
+    _assert_document_fails(payload, "entry v^(0, 1)", tmp_path, capsys)
 
 
-def test_non_canonical_cache_hit_reports_canonical_fingerprint(tmp_path, capsys):
+def test_tampered_t_coefficient_fails_closed(tmp_path, capsys):
+    """A changed coefficient of a term with t: v_1^3 t_1 in eta_R(v_2) read
+    -1 instead of -4.  Before the cache was compared with a fresh build,
+    every term check held and all three commands exited 0."""
+    from bpcentre.bp_hopf import EtaRTable
+
+    payload = EtaRTable(3, 13).populate().to_payload()
+    v2 = next(e for e in payload["entries"] if e["v_exponents"] == [0, 1])
+    v1_cubed_t1 = next(t for t in v2["terms"]
+                       if (t["v_exponents"], t["t_exponents"]) == ([3], [1]))
+    assert v1_cubed_t1["coefficient_numerator"] == "-4"
+    v1_cubed_t1["coefficient_numerator"] = "-1"
+    _assert_document_fails(payload, "entry v^(0, 1)", tmp_path, capsys, max_weight=13,
+                           window=("--N", "5", "--heights", "1,2,3"),
+                           lattice_window=("--N", "5", "--heights", "1,2"))
+
+
+def test_non_canonical_cache_document_fails_closed(tmp_path, capsys):
+    # The same table in compact JSON: no writer produces it, so it is no hit.
     import hashlib
 
     from bpcentre.bp_hopf import EtaRTable
@@ -315,15 +347,15 @@ def test_non_canonical_cache_hit_reports_canonical_fingerprint(tmp_path, capsys)
     os.makedirs(cache_dir)
     path = cache_dir / "etaR_p3_hazewinkel_w6.json"
     path.write_text(json.dumps(EtaRTable(3, 6).to_payload()))
-    expected = EtaRTable(3, 6).fingerprint()
-    assert hashlib.sha256(path.read_bytes()).hexdigest() != expected
-    assert EtaRTable.load(path).fingerprint() == expected
+    canonical = EtaRTable(3, 6).fingerprint()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != canonical
+    with pytest.raises(ValueError, match=re.escape(f"cache {path}: the header differs")):
+        EtaRTable(3, 6).load(path)
     argv = ["eta-table", "--p", "3", "--max-weight", "6", "--format", "json",
             "--cache", str(cache_dir)]
     code, out = run_cli(capsys, argv)
-    assert code == 0
-    cache = json.loads(out)["cache"]
-    assert (cache["status"], cache["fingerprint"]) == ("hit", expected)
+    assert code == 1
+    assert out.startswith(f"FAIL cache: cache {path}: the header differs")
 
 
 def test_build_config_window_defaults():
@@ -448,8 +480,7 @@ def test_truncated_cache_names_its_path(tmp_path, capsys):
     for command in (argv, ["verify", "triangular", *argv[1:]]):
         code, out = run_cli(capsys, command)
         assert code == 1
-        assert out.startswith("FAIL cache: ")
-        assert str(cache_file) in out
+        assert out.startswith(f"FAIL cache: cache {cache_file}: entry v^(")
 
 
 def test_report_fingerprint_is_sha256_of_cache_bytes(tmp_path, capsys):
@@ -566,6 +597,27 @@ def test_centre_commutant_gets_the_adjacent_elementaries(tmp_path, capsys, monke
     assert max(size for _, size in families) >= 3
     # E_(a, a+1) and E_(a+1, a) for a + 1 < |R|: 2(|R| - 1) matrices per weight.
     assert all(count == 2 * (size - 1) for count, size in families), families
+
+
+def test_centre_commutant_gets_int_matrices(tmp_path, capsys, monkeypatch):
+    # mu_bar is a p-power int and the elementaries pad with 0, so the
+    # commutant systems are built on ints, and its basis comes back in ints.
+    from bpcentre import truncation_centre
+
+    real = truncation_centre.commutant
+    entries = []
+
+    def recorded(mats, size, p):
+        basis = real(mats, size, p)
+        entries.extend(x for m in [*mats, *basis] for row in m for x in row)
+        return basis
+
+    monkeypatch.setattr(truncation_centre, "commutant", recorded)
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "8",
+            "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    assert entries
+    assert {type(x) for x in entries} == {int}
 
 
 def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,9 @@ the centre suite in json.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
-``status: written`` and the relative cache path.  To regenerate one, run
-for example::
+``status: written`` and the relative cache path; a second run in the same
+directory must print the same bytes with ``hit`` for ``written``.  To
+regenerate one, run for example::
 
     python -m bpcentre verify all --p 3 --max-weight 8 --N 4 --heights 1,2,3 \\
         --format json --cache cache > tests/data/verify_p3_w8.json
@@ -45,10 +46,21 @@ CASES += [("lattices_p3_w13", "json"), ("lattices_p3_w13", "markdown"),
           ("lattices_p3_w16_n13", "json"), ("centre_p3_w13", "json")]
 
 
+# How each format prints the cache status, as written by a cold run.
+WRITTEN = {"json": b'"status": "written"', "csv": b"cache,status,,,written",
+           "markdown": b"- status: written"}
+
+
 @pytest.mark.parametrize("name,fmt", CASES)
 def test_report_bytes_match_golden(name, fmt, tmp_path, monkeypatch, capsys):
+    """Cold, the report is the golden file; run again in the same directory,
+    it is the golden file with the cache status ``hit`` for ``written``."""
     monkeypatch.chdir(tmp_path)
-    code = main(CONFIGS[name] + ["--format", fmt, "--cache", "cache"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.encode("utf-8") == (DATA / f"{name}.{FORMATS[fmt]}").read_bytes()
+    golden = (DATA / f"{name}.{FORMATS[fmt]}").read_bytes()
+    assert golden.count(WRITTEN[fmt]) == 1
+    warm = golden.replace(WRITTEN[fmt], WRITTEN[fmt].replace(b"written", b"hit"))
+    for expected in (golden, warm):
+        code = main(CONFIGS[name] + ["--format", fmt, "--cache", "cache"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.encode("utf-8") == expected
