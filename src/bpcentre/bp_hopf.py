@@ -45,12 +45,8 @@ CONVENTION = "hazewinkel"
 
 
 class IntegralityError(ArithmeticError):
-    """A right-unit coefficient that is not an integer: one of negative
-    valuation, or one with any other denominator."""
-
-    def __init__(self, message, offenders=()):
-        super().__init__(message)
-        self.offenders = tuple(offenders)
+    """A right-unit coefficient that is not an integer (negative valuation or
+    another denominator); the message names the entry and its offenders."""
 
 
 def mono_weight(key: Mono, p: int) -> int:
@@ -110,8 +106,8 @@ class GradedPoly:
         return cls(p, {MONO_ONE: c})
 
     @classmethod
-    def v_mono(cls, p: int, alpha: Exp, coeff=1) -> "GradedPoly":
-        return cls(p, {(normalize(alpha), ()): coeff})
+    def v_mono(cls, p: int, alpha: Exp) -> "GradedPoly":
+        return cls(p, {(normalize(alpha), ()): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -496,7 +492,7 @@ class EtaRTable:
 
 def _coefficient_error(gamma: Exp, what: str, offenders) -> IntegralityError:
     worst = ", ".join(f"{key} -> {c}" for key, c in offenders[:3])
-    return IntegralityError(f"eta_R(v^{gamma}) has {what} coefficients: {worst}", offenders)
+    return IntegralityError(f"eta_R(v^{gamma}) has {what} coefficients: {worst}")
 
 
 def _json_list(items, indent: int) -> str:

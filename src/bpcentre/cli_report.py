@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .bp_hopf import (
     EtaRTable,
@@ -48,12 +48,7 @@ from .ktheory_lattice import (
     sg_membership,
     sg_window,
 )
-from .monomial_order import (
-    enumerate_weight,
-    max_generator_index,
-    sort_key,
-    unit_exp,
-)
+from .monomial_order import enumerate_weight, max_generator_index, unit_exp
 from .op_calculus import ConsistencyError, mu_matrix, realizations
 from .truncation_centre import block_split, centre_commutant
 
@@ -139,23 +134,13 @@ def load_or_build_table(config: RunConfig):
 
 
 def weight_stats(table: EtaRTable, r: int):
-    """(weight-r monomials, eta_R term count, largest coefficient valuation).
-
-    Table coefficients are non-zero ints and the table checked its prime, so
-    each valuation is a plain division loop.
-    """
+    """(weight-r monomials, eta_R term count, largest coefficient valuation);
+    table coefficients are non-zero, so each :func:`valuation` is finite."""
     p = table.p
     gammas = enumerate_weight(r, p)
-    terms, max_val = 0, 0
-    for gamma in gammas:
-        poly = table.eta(gamma)
-        terms += len(poly.terms)
-        for c in poly.terms.values():
-            val = 0
-            while c % p == 0:
-                c //= p
-                val += 1
-            max_val = max(max_val, val)
+    polys = [table.eta(gamma) for gamma in gammas]
+    terms = sum(len(poly.terms) for poly in polys)
+    max_val = max((valuation(c, p) for poly in polys for c in poly.terms.values()), default=0)
     return gammas, terms, max_val
 
 
@@ -192,20 +177,14 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
         _check(checks, f"integrality/w={r}", not bad, witness)
 
     for r in range(config.max_weight + 1):
-        gammas = enumerate_weight(r, p)
-        top_ok, counit_ok = True, True
-        for gamma in gammas:
-            poly = table.eta(gamma)
-            pure = poly.pure_t_terms()
-            expected_top = p ** sum(gamma)
-            if pure.get(gamma) != expected_top:
-                top_ok = False
-            if any(sort_key(t) > sort_key(gamma) for t in pure):
-                top_ok = False
-            if poly.t_evaluated_at_zero() != GradedPoly.v_mono(p, gamma):
-                counit_ok = False
+        # Pure-t terms have weight r: row i of mu holds all of eta_R(v^basis[i]).
+        basis, mu = mu_matrix(r, table)
+        top_ok = all(row[i] == p ** sum(basis[i]) and not any(row[i + 1:])
+                     for i, row in enumerate(mu))
+        counit_ok = all(table.eta(gamma).t_evaluated_at_zero() == GradedPoly.v_mono(p, gamma)
+                        for gamma in basis)
         _check(checks, f"top-term/w={r}", top_ok,
-               f"top pure-t coefficient is p^(sum gamma) on {len(gammas)} monomials")
+               f"top pure-t coefficient is p^(sum gamma) on {len(basis)} monomials")
         _check(checks, f"counit/w={r}", counit_ok,
                "t -> 0 returns v^gamma exactly")
     return checks
@@ -362,7 +341,7 @@ def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
         "phi": by_height("phi_divisors"),
         "phi_inclusion": all(c["phi_inclusion"] for c in comparisons),
         "phi_gap": by_height("phi_gap_colength"),
-        "stabilization": sg[1].summary(),
+        "stabilization": asdict(sg[1]),
     }
 
 
@@ -504,14 +483,9 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
     else:
         try:
             report["lattices"] = lattice_report(config, table)
-        except StabilizationError as exc:
-            sys.stdout.write(f"FAIL stabilization: {exc}\n")
-            return 1
-        except ClosureError as exc:
-            sys.stdout.write(f"FAIL closure: {exc}\n")
-            return 1
-        except ConsistencyError as exc:
-            sys.stdout.write(f"FAIL consistency: {exc}\n")
+        except (StabilizationError, ClosureError, ConsistencyError) as exc:
+            stage = type(exc).__name__.removesuffix("Error").lower()
+            sys.stdout.write(f"FAIL {stage}: {exc}\n")
             return 1
     sys.stdout.write(render_report(report, config.fmt))
     return overall_status(report)

@@ -16,7 +16,7 @@ raises, never silently truncates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -53,9 +53,6 @@ class StabilizationCertificate:
     margin: int
     last_changed_a: int
     stopped_at_a: int
-
-    def summary(self) -> dict:
-        return asdict(self)
 
 
 def sg_window(
@@ -168,9 +165,9 @@ def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
     (:func:`diagonal_window_lattice`), so S_g lies in it by construction and
     its gap is 0 exactly when L_phi lies in S_g; the windows of the phi
     functionals alone lying in S_g is the inclusion that can fail.  ``sg``
-    is :func:`sg_window`'s result for window N.
+    is :func:`sg_window`'s result for window N; only its lattice is read.
     """
-    sg, cert = sg
+    sg = sg[0]
     diagonal = diagonal_window_lattice(N, n, table, sg)
     phi = phi_window_lattice(N, n, table)
     inclusion, gap = lattice_inclusion(sg, diagonal)
@@ -184,5 +181,4 @@ def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
         "phi_divisors": list(phi.elementary_divisors),
         "phi_inclusion": phi_inclusion,
         "phi_gap_colength": phi_gap,
-        "stabilization": cert.summary(),
     }

@@ -82,16 +82,14 @@ def max_generator_index(r: int, p: int) -> int:
     return i
 
 
-def enumerate_weight(r: int, p: int, max_index: int | None = None) -> list[Exp]:
-    """All sequences of weight r on indices <= max_index, sorted ascending.
+def enumerate_weight(r: int, p: int) -> list[Exp]:
+    """All sequences of weight r, sorted ascending: the weight-r monomial basis.
 
-    ``max_index`` defaults to the largest index whose generator weight is at
-    most r; higher generators cannot appear in weight r.
+    Only generators of weight at most r can occur, those of index up to
+    :func:`max_generator_index`.
     """
     if r < 0:
         raise ValueError("weight must be non-negative")
-    if max_index is None:
-        max_index = max_generator_index(r, p)
 
     def rec(rem: int, i: int):
         if rem == 0:
@@ -107,7 +105,7 @@ def enumerate_weight(r: int, p: int, max_index: int | None = None) -> list[Exp]:
                 else:
                     yield head
 
-    return sorted(rec(r, max_index), key=sort_key)
+    return sorted(rec(r, max_generator_index(r, p)), key=sort_key)
 
 
 def in_ideal(a: Exp, n: int) -> bool:

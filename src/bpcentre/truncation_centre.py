@@ -35,11 +35,8 @@ from .op_calculus import ConsistencyError, adams_sequence, per_table, realizatio
 
 @dataclass(frozen=True)
 class BlockSplit:
-    """Partition of the weight-r basis into the R and J blocks at height n."""
+    """Positions in a weight-r basis of the R and J blocks at height n."""
 
-    p: int
-    r: int
-    n: int
     basis: tuple[Exp, ...]
     r_indices: tuple[int, ...]
     j_indices: tuple[int, ...]
@@ -60,7 +57,7 @@ def block_split(r: int, n: int, p: int) -> BlockSplit:
         raise ConsistencyError(
             f"block order violated in weight {r} at height {n}: R indices {r_idx}"
         )
-    return BlockSplit(p=p, r=r, n=n, basis=basis, r_indices=r_idx, j_indices=j_idx)
+    return BlockSplit(basis=basis, r_indices=r_idx, j_indices=j_idx)
 
 
 def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Matrix:

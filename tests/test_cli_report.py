@@ -579,6 +579,25 @@ def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
     assert len(columns) == len(set(columns)) == 15
 
 
+def test_triangular_fact_is_scanned_once_per_monomial(tmp_path, capsys, monkeypatch):
+    # The top-term check reads mu_matrix, which the triangular, realize and
+    # centre suites share: one pure-t scan of each eta_R(v^gamma) in all.
+    from bpcentre.bp_hopf import GradedPoly
+
+    real = GradedPoly.pure_t_terms
+    scanned = []
+
+    def counted(poly):
+        scanned.append(poly)
+        return real(poly)
+
+    monkeypatch.setattr(GradedPoly, "pure_t_terms", counted)
+    argv = ["verify", "all", "--p", "3", "--max-weight", "8", "--N", "4",
+            "--heights", "1,2", "--format", "json", "--cache", str(tmp_path / "cache")]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(scanned) == 15
+
+
 def test_centre_commutant_gets_the_adjacent_elementaries(tmp_path, capsys, monkeypatch):
     from bpcentre import truncation_centre
 

@@ -125,7 +125,6 @@ def test_compare_with_diagonal_window(table_p3):
     assert report["inclusion"] is True
     assert report["gap_colength"] is not None
     assert report["gap_colength"] >= 0
-    assert report["stabilization"]["q"] == 2
 
 
 @pytest.mark.parametrize("p,N", [(3, 5), (3, 9), (3, 13), (5, 8)])

@@ -136,11 +136,6 @@ def test_enumerate_weight_counts_match_recurrence():
             assert len(enumerate_weight(r, p)) == count_weight(r, p)
 
 
-def test_enumerate_weight_max_index():
-    assert enumerate_weight(4, 3, max_index=1) == [(4,)]
-    assert enumerate_weight(4, 3, max_index=2) == [(4,), (0, 1)]
-
-
 def test_in_ideal():
     assert in_ideal((0, 1), 1)
     assert not in_ideal((5,), 1)
