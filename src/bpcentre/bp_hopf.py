@@ -13,9 +13,10 @@ value with any other denominator than 1, and composite values are products
 of integer polynomials.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
-serializes to a deterministic JSON document.  A cache is never parsed: the
-table is always built, and a cache file counts only when it holds exactly the
-bytes of that serialization (:meth:`EtaRTable.load`).
+serializes to a deterministic JSON document, one entry at a time, so writing,
+comparing or hashing it never holds the whole document.  A cache is never
+parsed: the table is always built, and a cache file counts only when it holds
+exactly the bytes of that serialization (:meth:`EtaRTable.load`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ Mono = tuple[Exp, Exp]
 MONO_ONE: Mono = ((), ())
 
 CONVENTION = "hazewinkel"
+
+# Bytes of a cache file read at once while comparing it with the table.
+READ_CHUNK = 1 << 16
 
 
 class IntegralityError(ArithmeticError):
@@ -424,14 +428,16 @@ class EtaRTable:
             "entries": entries,
         }
 
-    def _pieces(self) -> list[tuple[str, str]]:
-        """The canonical document as (part, text) pieces in order: the
-        header, each entry v^gamma led by its separator, and the end.  Each
-        distinct exponent is rendered, and each monomial keyed, once."""
+    def _pieces(self):
+        """The canonical document as (part, bytes) pieces, yielded one at a
+        time in order: the header, each entry v^gamma led by its separator,
+        and the end.  Each distinct exponent is rendered, and each monomial
+        keyed, once."""
         self.populate()
         text, order = cache(lambda e: _json_list(e, 10)), cache(mono_sort_key)
-        pieces = [("the header", f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
-                                 f'  "max_weight": {self.max_weight},\n  "entries": [')]
+        yield "the header", (f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
+                             f'  "max_weight": {self.max_weight},\n  "entries": [').encode()
+        sep = ""
         for gamma in self.keys():
             terms = self._cache[gamma].terms
             rows = [
@@ -441,53 +447,69 @@ class EtaRTable:
                 f'          "coefficient_denominator": "{terms[v, t].denominator}"\n        }}'
                 for v, t in sorted(terms, key=order)
             ]
-            sep = "," if len(pieces) > 1 else ""
-            pieces.append((f"entry v^{gamma}",
-                           f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'
-                           f'      "terms": {_json_list(rows, 6)}\n    }}'))
-        pieces.append(("the end of the document", "\n  ]\n}\n"))
-        return pieces
+            yield (f"entry v^{gamma}",
+                   (f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'
+                    f'      "terms": {_json_list(rows, 6)}\n    }}').encode())
+            sep = ","
+        yield "the end of the document", b"\n  ]\n}\n"
 
     def to_bytes(self) -> bytes:
         """``json.dumps(self.to_payload(), indent=2) + "\\n"``, written directly."""
-        return "".join(text for _, text in self._pieces()).encode("utf-8")
+        return b"".join(data for _, data in self._pieces())
 
-    def save(self, path) -> bytes:
-        """Write the serialized table beside path, then move it over path, so
-        an interrupted save leaves no partial cache; return the bytes."""
-        data = self.to_bytes()
+    def save(self, path) -> str:
+        """Write the serialized table piece by piece beside path, then move it
+        over path, so an interrupted save leaves no partial cache; return the
+        SHA-256 hex digest of the bytes written."""
+        digest = hashlib.sha256()
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
         try:
             with open(tmp, "xb") as fh:
-                fh.write(data)
+                for _, data in self._pieces():
+                    fh.write(data)
+                    digest.update(data)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        return data
+        return digest.hexdigest()
 
-    def load(self, path) -> bytes:
-        """Compare the cache file at path with this table's serialization and
-        return the bytes.  Only the canonical document is accepted: any other
-        raises ValueError naming the path and the first part that differs
-        (the header, an entry v^gamma or the end of the document)."""
+    def load(self, path) -> str:
+        """Compare the cache file at path, piece by piece, with this table's
+        serialization and return the SHA-256 hex digest of its bytes.  Only
+        the canonical document is accepted: any other raises ValueError
+        naming the path and the first part that differs (the header, an
+        entry v^gamma or the end of the document, which also covers bytes
+        after it)."""
+        digest = hashlib.sha256()
         with open(path, "rb") as fh:
-            raw = fh.read()
-        pieces = self._pieces()
-        data = "".join(text for _, text in pieces).encode("utf-8")
-        if raw != data:
-            at = 0
-            for part, text in pieces:  # ASCII: a piece's length is its byte count
-                if raw[at:at + len(text)] != data[at:at + len(text)]:
+            for part, data in self._pieces():
+                if not _next_bytes_are(fh, data):
                     break
-                at += len(text)
-            raise ValueError(f"cache {path}: {part} differs from the table built "
-                             f"for p={self.p}, max_weight={self.max_weight}")
-        return data
+                digest.update(data)
+            else:
+                if not fh.read(1):
+                    return digest.hexdigest()
+        raise ValueError(f"cache {path}: {part} differs from the table built "
+                         f"for p={self.p}, max_weight={self.max_weight}")
 
     def fingerprint(self) -> str:
-        return fingerprint_bytes(self.to_bytes())
+        """The SHA-256 hex digest of the serialized table."""
+        digest = hashlib.sha256()
+        for _, data in self._pieces():
+            digest.update(data)
+        return digest.hexdigest()
+
+
+def _next_bytes_are(fh, data: bytes) -> bool:
+    """Whether the next len(data) bytes of the binary file fh are data,
+    read at most READ_CHUNK bytes at a time."""
+    for at in range(0, len(data), READ_CHUNK):
+        span = data[at:at + READ_CHUNK]
+        if fh.read(len(span)) != span:
+            return False
+    return True
 
 
 def _coefficient_error(gamma: Exp, what: str, offenders) -> IntegralityError:
@@ -502,11 +524,6 @@ def _json_list(items, indent: int) -> str:
         return "[]"
     pad = "\n" + " " * (indent + 2)
     return "[" + pad + ("," + pad).join(map(str, items)) + "\n" + " " * indent + "]"
-
-
-def fingerprint_bytes(data: bytes) -> str:
-    """The cache fingerprint of a serialized table: its SHA-256 hex digest."""
-    return hashlib.sha256(data).hexdigest()
 
 
 def coefficient_of_t(gamma, beta, table: EtaRTable) -> GradedPoly:

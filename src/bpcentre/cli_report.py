@@ -29,7 +29,6 @@ from .bp_hopf import (
     GradedPoly,
     IntegralityError,
     check_integrality,
-    fingerprint_bytes,
 )
 from .dvr_arith import (
     generates_units_mod_p2,
@@ -118,19 +117,20 @@ class RunConfig:
 def load_or_build_table(config: RunConfig):
     """Return (table, cache section of the report).
 
-    The table is always built and serialized once.  An existing cache file
-    is a hit only when it holds exactly those bytes (``EtaRTable.load``
-    raises ValueError otherwise); a missing one is written.  Either way the
-    fingerprint is the SHA-256 of the canonical bytes.
+    The table is always built and serialized once, a piece at a time.  An
+    existing cache file is a hit only when it holds exactly those bytes
+    (``EtaRTable.load`` raises ValueError otherwise); a missing one is
+    written.  Either way the fingerprint is the SHA-256 of the canonical
+    bytes, as ``load`` or ``save`` hashed them.
     """
     path = config.cache_path()
     table = EtaRTable(config.p, config.max_weight).populate()
     if os.path.exists(path):
-        status, data = "hit", table.load(path)
+        status, fingerprint = "hit", table.load(path)
     else:
         os.makedirs(config.cache_dir, exist_ok=True)
-        status, data = "written", table.save(path)
-    return table, {"path": path, "status": status, "fingerprint": fingerprint_bytes(data)}
+        status, fingerprint = "written", table.save(path)
+    return table, {"path": path, "status": status, "fingerprint": fingerprint}
 
 
 def weight_stats(table: EtaRTable, r: int):

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v`` for one PASS/FAIL line per
 criterion.
 """
 
+import hashlib
 import itertools
 import time
 from fractions import Fraction
@@ -180,9 +181,10 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
     """Cache round-trips byte-identically; identical configs, identical reports."""
     table = EtaRTable(3, 7).populate()
     path = tmp_path / "cache.json"
-    table.save(path)
+    digest = table.save(path)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded = EtaRTable(3, 7)
-    assert loaded.load(path) == path.read_bytes()
+    assert loaded.load(path) == digest
     assert loaded.to_bytes() == path.read_bytes()
     path2 = tmp_path / "cache2.json"
     loaded.save(path2)

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from bpcentre.bp_hopf import (
     IntegralityError,
     check_integrality,
     coefficient_of_t,
-    fingerprint_bytes,
     hazewinkel_m,
     substitute_m,
 )
@@ -255,16 +255,19 @@ def test_integrality_error_is_raised_on_corrupt_table():
 def test_cache_roundtrip(tmp_path):
     table = EtaRTable(3, 6).populate()
     path = tmp_path / "cache.json"
-    data = table.save(path)
+    digest = table.save(path)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
     loaded = EtaRTable(3, 6)
-    assert loaded.load(path) == data == path.read_bytes()
+    assert loaded.load(path) == digest
+    assert data == table.to_bytes()
     assert loaded.p == table.p
     assert loaded.max_weight == table.max_weight
     for gamma in table.keys():
         assert loaded.eta(gamma) == table.eta(gamma)
     # byte-identical resave
     assert loaded.to_bytes() == table.to_bytes()
-    assert loaded.fingerprint() == table.fingerprint() == fingerprint_bytes(data)
+    assert loaded.fingerprint() == table.fingerprint() == digest
 
 
 def test_cache_payload_shape(tmp_path):
@@ -287,10 +290,10 @@ def test_cache_payload_shape(tmp_path):
 def test_save_returns_the_bytes_it_wrote(tmp_path):
     table = EtaRTable(3, 5).populate()
     path = tmp_path / "cache.json"
-    data = table.save(path)
-    assert data == path.read_bytes() == table.to_bytes()
-    assert table.fingerprint() == hashlib.sha256(table.to_bytes()).hexdigest()
-    assert fingerprint_bytes(data) == table.fingerprint()
+    digest = table.save(path)
+    assert path.read_bytes() == table.to_bytes()
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert table.fingerprint() == hashlib.sha256(table.to_bytes()).hexdigest() == digest
     assert [p.name for p in tmp_path.iterdir()] == ["cache.json"]
 
 
@@ -321,7 +324,9 @@ def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
     # A failed save over an existing cache leaves the old bytes in place.
-    old = EtaRTable(3, 5).populate().save(path)
+    digest = EtaRTable(3, 5).populate().save(path)
+    old = path.read_bytes()
+    assert digest == hashlib.sha256(old).hexdigest()
 
     def failing_replace(src, dst):
         raise OSError("replace failed")
@@ -335,7 +340,9 @@ def test_failed_save_leaves_no_file(tmp_path, monkeypatch):
 
 def test_cache_load_errors_name_the_file(tmp_path):
     path = tmp_path / "cache.json"
-    data = EtaRTable(3, 6).populate().save(path)
+    digest = EtaRTable(3, 6).populate().save(path)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
     path.write_bytes(data[:500])
     with pytest.raises(ValueError, match=re.escape(f"cache {path}: entry v^(")):
         EtaRTable(3, 6).load(path)
@@ -351,6 +358,43 @@ def test_cache_load_rejects_incomplete(tmp_path):
         path.write_text(document)
         with pytest.raises(ValueError, match=re.escape(f"cache {path}: {part} differs")):
             EtaRTable(3, 4).load(path)
+
+
+def test_save_and_load_stream_the_document(tmp_path):
+    """At p=3 W=30 the document is 7.36 MB; writing it and comparing a cache
+    with it each allocate less than half of that at their peak."""
+    table = EtaRTable(3, 30).populate()
+    path = tmp_path / "cache.json"
+    peaks = {}
+    for step in (table.save, table.load):
+        tracemalloc.start()
+        try:
+            step(path)
+            peaks[step.__name__] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 7_356_562
+    assert all(peak < size / 2 for peak in peaks.values()), (peaks, size)
+
+
+def test_load_names_a_change_deep_in_a_large_entry(tmp_path):
+    """v^(0, 1, 2) takes 152 kB at p=3 W=30, so the cache is compared with
+    it in several bounded reads; a byte changed near its end is found."""
+    table = EtaRTable(3, 30).populate()
+    path = tmp_path / "cache.json"
+    table.save(path)
+    start = 0
+    for part, data in table._pieces():
+        if part == "entry v^(0, 1, 2)":
+            break
+        start += len(data)
+    assert len(data) > 150_000
+    document = bytearray(path.read_bytes())
+    document[start + data.rindex(b'"1"') + 1] = ord("3")  # the last denominator
+    path.write_bytes(document)
+    with pytest.raises(ValueError, match=re.escape(f"cache {path}: entry v^(0, 1, 2) differs")):
+        EtaRTable(3, 30).load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +423,10 @@ def test_direct_writer_matches_json_encoder(p, max_weight):
 def test_fingerprints_match_pins(p, max_weight, tmp_path):
     table = EtaRTable(p, max_weight)
     expected = PINNED_FINGERPRINTS[p, max_weight]
+    path = tmp_path / "cache.json"
     assert table.fingerprint() == expected
-    assert fingerprint_bytes(table.save(tmp_path / "cache.json")) == expected
-    assert fingerprint_bytes(EtaRTable(p, max_weight).load(tmp_path / "cache.json")) == expected
+    assert table.save(path) == hashlib.sha256(path.read_bytes()).hexdigest() == expected
+    assert EtaRTable(p, max_weight).load(path) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -263,15 +263,22 @@ def _tamper(payload, how):
     return "entry v^(2,)"
 
 
-def _assert_document_fails(payload, part, tmp_path, capsys, max_weight=4,
-                           window=("--N", "2", "--heights", "1"),
-                           lattice_window=("--N", "2", "--heights", "1")):
+def _assert_document_fails(payload, part, tmp_path, capsys, **options):
     """Written as the writer lays it out, the document fails every command
     with exit 1, naming the cache path and the part that differs."""
+    document = (json.dumps(payload, indent=2) + "\n").encode()
+    _assert_cache_bytes_fail(document, part, tmp_path, capsys, **options)
+
+
+def _assert_cache_bytes_fail(document, part, tmp_path, capsys, max_weight=4,
+                             window=("--N", "2", "--heights", "1"),
+                             lattice_window=("--N", "2", "--heights", "1")):
+    """A cache file holding these bytes fails every command with exit 1,
+    naming the cache path and the part that differs."""
     cache_dir = tmp_path / "cache"
     os.makedirs(cache_dir)
     path = cache_dir / f"etaR_p3_hazewinkel_w{max_weight}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path.write_bytes(document)
     flags = ["--p", "3", "--max-weight", str(max_weight), "--cache", str(cache_dir)]
     for command in (["eta-table"], ["verify", "all", *window], ["lattices", *lattice_window]):
         code, out = run_cli(capsys, command + flags)
@@ -290,6 +297,21 @@ def test_tampered_cache_documents_fail_closed(how, tmp_path, capsys):
     payload = EtaRTable(3, 4).populate().to_payload()
     part = _tamper(payload, how)
     _assert_document_fails(payload, part, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("edit,part", [
+    (lambda doc: doc + b"\n", "the end of the document"),
+    (lambda doc: doc + doc[-7:], "the end of the document"),
+    (lambda doc: doc[:-1], "the end of the document"),
+    (lambda doc: b"", "the header"),
+    (lambda doc: doc[:-1] + b" ", "the end of the document"),
+    (lambda doc: b" " + doc[1:], "the header"),
+], ids=["newline appended", "end appended", "one byte short", "empty", "last byte",
+        "first byte"])
+def test_cache_bytes_off_the_canonical_document_fail_closed(edit, part, tmp_path, capsys):
+    from bpcentre.bp_hopf import EtaRTable
+
+    _assert_cache_bytes_fail(edit(EtaRTable(3, 4).to_bytes()), part, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("where", ["entry", "term"])

@@ -27,6 +27,7 @@ NEVER_CALLED = {
     "bp_hopf.GradedPoly.__neg__": OUTSIDE,
     "bp_hopf.GradedPoly.__sub__": OUTSIDE,
     "bp_hopf.EtaRTable.to_payload": ORACLE,
+    "bp_hopf.EtaRTable.to_bytes": ORACLE,
     "bp_hopf.EtaRTable.fingerprint": TRACED,
     "bp_hopf._coefficient_error": "an error path: a right-unit value that is not integral",
     "bp_hopf.coefficient_of_t": ORACLE,
