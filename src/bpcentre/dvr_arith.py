@@ -283,7 +283,7 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
         cj, uj = echelon[j]
         for i in range(j):
             ci, ui = echelon[i]
-            rep = reduce_mod_p_power(Fraction(ci[row], ui), p, e)
+            rep = ci[row] * pow(ui, -1, mod) % mod  # ui is prime to p
             t = (ci[row] - rep * ui) // mod
             if t:
                 echelon[i] = _lowest_terms([uj * x - t * y for x, y in zip(ci, cj)], ui * uj)

@@ -185,13 +185,13 @@ def solve_column(basis, mu, b: int, p: int):
 
 @per_table
 def realizations(r: int, table: EtaRTable):
-    """{beta: (mu_bar, ((gamma, c_gamma), ...))} over the weight-r basis,
-    each column solved by :func:`solve_column` and verified exactly.
+    """{beta: (mu_bar, ((gamma, c_gamma), ...))} over the weight-r basis, with
+    ``int`` c_gamma, each column solved by :func:`solve_column` and verified.
 
     sum_gamma c_gamma * M(alpha, gamma) vanishes outside row alpha, where
     its entry in column j is sum_gamma c_gamma * mu[j][gamma] for every
-    alpha.  That row must be mu_bar * e_beta, mu_bar non-zero and every c
-    p-integral, else ConsistencyError; then it is mu_bar * E_(alpha, beta).
+    alpha.  That row must be mu_bar * e_beta, mu_bar non-zero and every c an
+    integer, else ConsistencyError; then it is mu_bar * E_(alpha, beta).
     """
     p = table.p
     basis, mu = mu_matrix(r, table)
@@ -199,13 +199,13 @@ def realizations(r: int, table: EtaRTable):
     result = {}
     for b, beta in enumerate(basis):
         mu_bar, coeffs = solve_column(basis, mu, b, p)
-        terms = [(index[gamma], c) for gamma, c in coeffs.items()]
+        terms = [(index[gamma], c.numerator) for gamma, c in coeffs.items() if c.denominator == 1]
         row = [sum(c * mu_j[g] for g, c in terms) for mu_j in mu]
-        if (mu_bar == 0 or any(valuation(c, p) < 0 for _, c in terms)
+        if (mu_bar == 0 or len(terms) != len(coeffs)
                 or any(x != (mu_bar if j == b else 0) for j, x in enumerate(row))):
             raise ConsistencyError(f"realized combination for column {beta} is not "
-                                   f"{mu_bar}*e_{beta} in weight {r}")
-        result[beta] = (mu_bar, tuple(coeffs.items()))
+                                   f"{mu_bar}*e_{beta} in integers in weight {r}")
+        result[beta] = (mu_bar, tuple((basis[g], c) for g, c in terms))
     return MappingProxyType(result)
 
 

@@ -12,12 +12,13 @@ the scalar sequences realizable by integral combinations of the generating
 operations (the spanning degree-zero functionals together with the Adams
 family) whose action preserves the J block and is scalar on R modulo J.
 Adams operations act as scalars, so that lattice is the sum of the windows
-of the functionals alone (one integral kernel) and the span S_g of the Adams
-windows, which ``ktheory_lattice`` builds and certifies.
+of the functionals alone (forward substitution, then a dual kernel) and the
+span S_g of the Adams windows, which ``ktheory_lattice`` builds and certifies.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bp_hopf import EtaRTable
@@ -28,6 +29,7 @@ from .dvr_arith import (
     echelon_lattice,
     integral_kernel,
     is_integral,
+    valuation,
 )
 from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, weight
 from .op_calculus import ConsistencyError, adams_sequence, per_table, realizations
@@ -99,65 +101,62 @@ def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None 
     return len(basis), basis
 
 
-@per_table
-def phi_actions(r: int, table: EtaRTable) -> dict[tuple[int, int], dict[int, int]]:
-    """{(i, j): {generator: entry}}, the non-zero weight-r action entries of
-    every phi(alpha, beta), indexed in :func:`stable_generators` order.
-
-    One pass over eta_R: its term c v^a t^beta in column gamma is the entry
-    of phi(alpha, beta) in row a + alpha for every alpha of the weight of
-    beta.  Agrees with :func:`action_matrix`.
-    """
-    p = table.p
-    bases = [tuple(enumerate_weight(s, p)) for s in range(r + 1)]
-    offsets = [0]
-    for s in range(r):
-        offsets.append(offsets[-1] + len(bases[s]) ** 2)
-    index = {a: i for i, a in enumerate(bases[r])}
-    entries: dict[tuple[int, int], dict[int, int]] = {}
-    for j, gamma in enumerate(bases[r]):
-        for (a, beta), c in table.eta(gamma).terms.items():
-            s = weight(beta, p)
-            src = bases[s]
-            first = offsets[s] + src.index(beta)
-            for ia, alpha in enumerate(src):
-                cell = entries.setdefault((index[add(a, alpha)], j), {})
-                cell[first + ia * len(src)] = c
-    return entries
+def _form_sum(terms, length: int, p: int) -> tuple[list[int], int]:
+    """sum(c * num / p^e for (c, num, e) in terms) as (numerators, k) in lowest terms."""
+    k = max((e for _, _, e in terms), default=0)
+    total = [0] * length
+    for c, num, e in terms:
+        c *= p ** (k - e)
+        for i, x in enumerate(num):
+            total[i] += c * x
+    shift = min(k, valuation(math.gcd(*total), p))
+    return [x // p**shift for x in total], k - shift
 
 
 @per_table
 def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     """Lattice L_phi of the windows realized by the phi generators alone.
 
-    As :func:`diagonal_window_lattice` without the Adams family: the mu
-    projection of the saturated integral kernel of one exact linear system
-    over all weights r <= N.
+    As :func:`diagonal_window_lattice` without the Adams family.  R rows see
+    only x_alpha, alpha in R: mu_r . x_alpha + (eta_R terms c v^a t^beta with
+    a != () on x_(alpha - a, beta)) = m_r e_alpha.  Column beta of mu_r^-1 is
+    coeffs/mu_bar of :func:`realizations`, so each x_(alpha, beta) is a form in
+    the window.  L_phi, where all are integral, is the m-part of the kernel
+    of [B^T | -p^top I], B the echelon of the forms times p^top and p^top I.
     """
     p = table.p
     if N > table.max_weight:
         raise ValueError("window bound exceeds the table bound")
-    n_gen = sum(len(enumerate_weight(r, p)) ** 2 for r in range(N + 1))
-    n_vars = n_gen + N + 1
-
-    rows = []
+    r_bases, forms = [], {}  # forms[alpha, beta]: x_(alpha, beta) as (numerators, k)
     for r in range(N + 1):
         split = block_split(r, n, p)
-        actions = phi_actions(r, table)
-        for i in split.r_indices:
-            for j in range(len(split.basis)):
-                entries = actions.get((i, j), {})
-                if not entries and i != j:
-                    continue
-                row = [0] * n_vars
-                for g, c in entries.items():
-                    row[g] = c
-                if i == j:
-                    row[n_gen + r] = -1
-                rows.append(row)
+        r_bases.append(split.r_basis)
+        # rhs[alpha][j]: the terms of (m_r e_alpha - lower)_j
+        rhs = {alpha: [[(1, (0,) * r + (1,), 0)] if beta == alpha else [] for beta in split.basis]
+               for alpha in split.r_basis}
+        for j, gamma in enumerate(split.basis):
+            for (a, beta), c in table.eta(gamma).terms.items():
+                if a and not in_ideal(a, n):
+                    for alpha in r_bases[weight(beta, p)]:
+                        rhs[add(a, alpha)][j].append((-c, *forms[alpha, beta]))
+        for alpha, row in rhs.items():
+            x = {gamma: [] for gamma in split.basis}
+            for beta, terms in zip(split.basis, row):
+                num, k = _form_sum(terms, r + 1, p)
+                mu_bar, coeffs = realizations(r, table)[beta]
+                for gamma, c in coeffs if any(num) else ():
+                    x[gamma].append((c, num, k + valuation(mu_bar, p)))
+            forms.update(((alpha, gamma), _form_sum(t, r + 1, p)) for gamma, t in x.items())
 
-    kernel = integral_kernel(rows, n_vars, p)
-    return echelon_lattice(p, [vec[n_gen:] for vec in kernel], N + 1)
+    top = max(k for _, k in forms.values())
+    identity = [tuple(p**top if i == j else 0 for j in range(N + 1)) for i in range(N + 1)]
+    # B in reversed coordinates, rows last first: no elimination grows entries.
+    scaled = dict.fromkeys((0,) * (N + 1 - len(num)) + tuple(x * p**(top - k) for x in num[::-1])
+                           for num, k in forms.values() if k)
+    dual = echelon_lattice(p, [*scaled, *identity], N + 1)
+    rows = [[*b[::-1], *(-x for x in e)] for b, e in zip(dual.basis, identity)][::-1]
+    kernel = integral_kernel(rows, 2 * (N + 1), p)
+    return echelon_lattice(p, [vec[:N + 1] for vec in kernel], N + 1)
 
 
 def diagonal_window_lattice(N: int, n: int, table: EtaRTable, sg: DvrLattice) -> DvrLattice:
@@ -175,9 +174,9 @@ def diagonal_window_lattice(N: int, n: int, table: EtaRTable, sg: DvrLattice) ->
     unknowns x, Adams unknowns y and window unknowns mu, the y_k and the mu_r
     occur only in the rows (i, i) with i in R, with coefficients k^((p-1)r)
     and -1.  So (x, y, mu) is an integral solution exactly when
-    (x, 0, mu - sum_k y_k adams(k)) is one, and the projection of the
-    saturated kernel onto mu is L_phi + S_g: the echelon form of
-    :func:`phi_window_lattice` together with ``sg``.
+    (x, 0, mu - sum_k y_k adams(k)) is one, and the windows admitted are
+    L_phi + S_g: the echelon form of :func:`phi_window_lattice` together
+    with ``sg``.
     """
     if sg.p != table.p or sg.ambient_rank != N + 1:
         raise ValueError(f"S_g must be a window-{N} lattice at p={table.p}, got "

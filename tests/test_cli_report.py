@@ -581,6 +581,25 @@ def test_bad_realization_fails_realize(tmp_path, capsys, monkeypatch):
         assert "realized combination for column" in check["witness"]
 
 
+def test_bad_realization_fails_lattices(tmp_path, capsys, monkeypatch):
+    # L_phi is solved through the verified realizations, so a wrong column
+    # solve fails the lattice command and the congruence comparisons.
+    perturb_column_solves(monkeypatch)
+    args = ["--p", "3", "--max-weight", "5", "--N", "3", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, ["lattices", *args])
+    assert code == 1
+    assert out.startswith("FAIL consistency: realized combination for column ")
+
+    code, out = run_cli(capsys, ["verify", "congruence", *args, "--format", "json"])
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    failed = [c for c in checks if c["status"] == "FAIL"]
+    assert [c["id"] for c in failed] == [
+        f"congruence-{kind}/n={n}/N=3" for n in (1, 2) for kind in ("inclusion", "phi-inclusion")]
+    for check in failed:
+        assert check["witness"].startswith("realized combination for column "), check
+
+
 def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
     from bpcentre import op_calculus
     from bpcentre.monomial_order import enumerate_weight

@@ -148,11 +148,13 @@ def test_commutant_of_generic_family_matches_oracle():
 
 def test_window_systems_match_oracles(monkeypatch):
     """Every kernel and echelon that the phi and diagonal window lattices
-    run for N <= 9, recomputed by the oracles."""
+    run for N <= 9, recomputed by the oracles.  The only kernel is L_phi's
+    dual system [B^T | -p^top I], with 2(N+1) columns."""
     kernels, echelons = [], []
+    window = None
 
     def record_kernel(rows, ncols, p):
-        kernels.append((rows, ncols, p))
+        kernels.append((rows, ncols, p, window))
         return integral_kernel(rows, ncols, p)
 
     def record_echelon(p, generators, ambient_rank):
@@ -163,15 +165,15 @@ def test_window_systems_match_oracles(monkeypatch):
     monkeypatch.setattr(truncation_centre, "integral_kernel", record_kernel)
     monkeypatch.setattr(truncation_centre, "echelon_lattice", record_echelon)
     table = EtaRTable(3, 9).populate()  # fresh, so no window is cached
-    for N in (0, 1, 2, 5, 9):
-        sg, _ = sg_window(3, N)
+    for window in (0, 1, 2, 5, 9):
+        sg, _ = sg_window(3, window)
         for n in (1, 2):
-            truncation_centre.diagonal_window_lattice(N, n, table, sg)
+            truncation_centre.diagonal_window_lattice(window, n, table, sg)
 
-    assert len(kernels) == 10
-    for rows, ncols, p in kernels:
+    assert kernels
+    for rows, ncols, p, N in kernels:
+        assert ncols == 2 * (N + 1), (N, ncols)
         assert integral_kernel(rows, ncols, p) == oracle_integral_kernel(rows, ncols, p)
-    assert len(echelons) == 20
     for p, generators, ambient_rank in echelons:
         assert echelon_lattice(p, generators, ambient_rank) == \
             oracle_echelon_lattice(p, generators, ambient_rank)

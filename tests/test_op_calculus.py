@@ -183,6 +183,30 @@ def test_realized_matrix_rejects_perturbed_coefficients(table_p3, monkeypatch):
         assert realizations(r, fresh) == realizations(r, table_p3)
 
 
+def test_realizations_store_int_coefficients(table_p3, table_p5):
+    # mu has a p-power diagonal, so mu_bar * mu^-1 e_beta is an integer vector.
+    for table in (table_p3, table_p5):
+        for r in range(table.max_weight + 1):
+            for beta, (mu_bar, coeffs) in realizations(r, table).items():
+                assert type(mu_bar) is int, (table.p, r, beta)
+                assert all(type(c) is int for _, c in coeffs), (table.p, r, beta, coeffs)
+
+
+def test_non_integer_coefficient_names_its_column(monkeypatch):
+    from bpcentre import op_calculus
+
+    real = op_calculus.solve_column
+
+    def halved(basis, mu, b, p):
+        mu_bar, coeffs = real(basis, mu, b, p)
+        first = next(iter(coeffs))
+        return mu_bar, {**coeffs, first: coeffs[first] + Fraction(1, 2)}
+
+    monkeypatch.setattr(op_calculus, "solve_column", halved)
+    with pytest.raises(ConsistencyError, match=r"column \(1,\) is not .* in integers"):
+        realizations(1, EtaRTable(3, 1).populate())
+
+
 def test_stable_generators_counts():
     assert [g.name for g in stable_generators(3, 0)] == ["phi_()"]
     gens1 = stable_generators(3, 1)

@@ -1,15 +1,15 @@
-"""The diagonal window lattice as L_phi + S_g, against the monolithic system.
+"""The window lattices against the monolithic system.
 
 ``monolithic_window_lattice`` keeps the single kernel over phi, Adams and
 window unknowns, with every action matrix built by GradedPoly arithmetic and
-its own list of Adams parameters at the default caps, as an independent
-oracle for the split computation.
+the list of Adams parameters as an argument, as an independent oracle: with
+the parameters of the default caps it gives the diagonal window lattice
+L_phi + S_g, and with none it gives L_phi.
 """
-
-from fractions import Fraction
 
 import pytest
 
+from bpcentre.bp_hopf import EtaRTable
 from bpcentre.dvr_arith import (
     echelon_lattice,
     integral_kernel,
@@ -17,20 +17,21 @@ from bpcentre.dvr_arith import (
     topological_generator,
 )
 from bpcentre.ktheory_lattice import sg_window
-from bpcentre.monomial_order import enumerate_weight
 from bpcentre.op_calculus import action_matrix, stable_generators
 from bpcentre.truncation_centre import (
     block_split,
     diagonal_window_lattice,
-    phi_actions,
     phi_window_lattice,
 )
 
 
-def monolithic_window_lattice(N, n, table):
-    p = table.p
+def default_adams_keys(p, N):
     q = topological_generator(p)
-    adams_keys = [0] + [p**s * q**a for s in range(4) for a in range(N + 9)]
+    return [0] + [p**s * q**a for s in range(4) for a in range(N + 9)]
+
+
+def monolithic_window_lattice(N, n, table, adams_keys):
+    p = table.p
     gens = stable_generators(p, N)
     n_gen, n_adams = len(gens), len(adams_keys)
     n_vars = n_gen + n_adams + (N + 1)
@@ -40,13 +41,13 @@ def monolithic_window_lattice(N, n, table):
         actions = [action_matrix(g, r, table) for g in gens]
         for i in split.r_indices:
             for j in range(len(split.basis)):
-                row = [Fraction(0)] * n_vars
+                row = [0] * n_vars
                 for g_idx in range(n_gen):
                     row[g_idx] = actions[g_idx][i][j]
                 if i == j:
                     for k_idx, k in enumerate(adams_keys):
-                        row[n_gen + k_idx] = Fraction(k) ** ((p - 1) * r)
-                    row[n_gen + n_adams + r] = Fraction(-1)
+                        row[n_gen + k_idx] = k ** ((p - 1) * r)
+                    row[n_gen + n_adams + r] = -1
                 rows.append(row)
     kernel = integral_kernel(rows, n_vars, p)
     return echelon_lattice(p, [vec[n_gen + n_adams:] for vec in kernel], N + 1)
@@ -56,31 +57,28 @@ def monolithic_window_lattice(N, n, table):
 def test_split_matches_monolithic_p3(N, table_p3):
     for n in (1, 2, 3):
         assert diagonal_window_lattice(N, n, table_p3, sg_window(3, N)[0]) == \
-            monolithic_window_lattice(N, n, table_p3), (N, n)
+            monolithic_window_lattice(N, n, table_p3, default_adams_keys(3, N)), (N, n)
 
 
 @pytest.mark.parametrize("N", range(5))
 def test_split_matches_monolithic_p5(N, table_p5):
     for n in (1, 2):
         assert diagonal_window_lattice(N, n, table_p5, sg_window(5, N)[0]) == \
-            monolithic_window_lattice(N, n, table_p5), (N, n)
+            monolithic_window_lattice(N, n, table_p5, default_adams_keys(5, N)), (N, n)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_phi_actions_match_action_matrix(p, table_p3, table_p5):
-    table = table_p3 if p == 3 else table_p5
-    gens = stable_generators(p, 6)
-    for r in range(7):
-        size = len(enumerate_weight(r, p))
-        actions = phi_actions(r, table)
-        for g_idx, g in enumerate(gens):
-            expected = action_matrix(g, r, table)
-            got = tuple(
-                tuple(actions.get((i, j), {}).get(g_idx, Fraction(0))
-                      for j in range(size))
-                for i in range(size)
-            )
-            assert got == expected, (p, r, g.name)
+@pytest.fixture(scope="module")
+def tables(table_p3):
+    return {3: table_p3, 5: EtaRTable(5, 14).populate(), 7: EtaRTable(7, 10).populate()}
+
+
+@pytest.mark.parametrize("p, N", [
+    *[(3, N) for N in range(14)], *[(5, N) for N in range(15)], *[(7, N) for N in range(11)],
+])
+def test_phi_window_lattice_matches_monolithic(p, N, tables):
+    for n in (1, 2, 3, 4) if p == 3 else (1, 2):
+        assert phi_window_lattice(N, n, tables[p]) == \
+            monolithic_window_lattice(N, n, tables[p], []), (p, N, n)
 
 
 def test_phi_windows_lie_in_sg_with_a_gap(table_p3):
