@@ -44,15 +44,10 @@ from .monomial_order import (
 )
 from .op_calculus import (
     ConsistencyError,
-    OpFunctional,
     action_matrix,
     adams_matrix,
     adams_sequence,
-    counit,
     elementary_realize,
-    phi_alpha_beta,
-    phi_beta,
-    stable_generators,
 )
 from .truncation_centre import (
     BlockSplit,
@@ -74,7 +69,6 @@ __all__ = [
     "GradedPoly",
     "INFINITY",
     "IntegralityError",
-    "OpFunctional",
     "StabilizationError",
     "action_matrix",
     "adams_matrix",
@@ -87,7 +81,6 @@ __all__ = [
     "commutant",
     "compare",
     "compare_with_diagonal_window",
-    "counit",
     "diagonal_window_lattice",
     "echelon_lattice",
     "elementary_realize",
@@ -98,13 +91,10 @@ __all__ = [
     "iota_hat_n_window",
     "is_integral",
     "lattice_membership",
-    "phi_alpha_beta",
-    "phi_beta",
     "projected_elementary",
     "sg_closure",
     "sg_membership",
     "sg_window",
-    "stable_generators",
     "topological_generator",
     "unit_exp",
     "valuation",

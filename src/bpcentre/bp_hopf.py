@@ -102,10 +102,6 @@ class GradedPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int) -> "GradedPoly":
-        return cls(p, {})
-
-    @classmethod
     def const(cls, p: int, c) -> "GradedPoly":
         return cls(p, {MONO_ONE: c})
 
@@ -151,15 +147,6 @@ class GradedPoly:
         if len(weights) > 1:
             raise ValueError(f"inhomogeneous terms: weights {sorted(weights)}")
         return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None))
-
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        return GradedPoly.sum(self.p, (self, other))
-
-    def __neg__(self) -> "GradedPoly":
-        return self * -1
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -109,8 +109,6 @@ def sg_membership(w, lattice: DvrLattice):
     """
     w = tuple(w)
     vec, d = integer_scaling(w)  # the window is vec/d
-    if len(vec) != lattice.ambient_rank:
-        raise ValueError("window length does not match the lattice")
     cert = lattice_membership(w, lattice)
     if cert is None:
         return None

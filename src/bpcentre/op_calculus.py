@@ -8,24 +8,27 @@ with the exact matrices of their actions on the ordered monomial basis of
 each weight: ``dvr_arith.Matrix`` row tuples whose entry (i, j) is the
 coefficient of basis[i] in the image of basis[j].
 
-The family phi(alpha, beta) (value v^alpha on t^beta, zero elsewhere) spans
-the degree-zero functionals weightwise.  Their matrices are triangular with
-respect to the right-lex order, which makes any single elementary matrix
-realizable up to a p-power scalar.  The combination depends on the column
-alone: :func:`realizations` solves and verifies it once per column and table.
+The functional phi(alpha, beta), value v^alpha on t^beta and zero elsewhere,
+is given by the pair; phi((), ()) is the counit, and the pairs of equal
+weight span the degree-zero functionals weightwise.  Their matrices are
+triangular with respect to the right-lex order, which makes any single
+elementary matrix realizable up to a p-power scalar.  The combination
+depends on the column alone: :func:`realizations` solves and verifies it
+once per column and table.  :func:`action_matrix` builds the matrix from the
+right unit's t-coefficients, independently of mu, as the oracle for
+:func:`functional_matrix` and for the monolithic window system.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
 from .dvr_arith import Matrix, Vector, is_integral, valuation
-from .monomial_order import Exp, enumerate_weight, normalize, weight
+from .monomial_order import enumerate_weight, normalize, weight
 
 _PER_TABLE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
 
@@ -47,60 +50,6 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug, not bad input."""
 
 
-@dataclass(frozen=True)
-class OpFunctional:
-    """A coefficient-linear functional with finite support on t-monomials.
-
-    ``support`` maps t-exponent sequences to weight-homogeneous v-polynomial
-    values; ``shift`` is the drop in weight induced on homotopy (zero for
-    operations of degree zero).
-    """
-
-    p: int
-    shift: int
-    support: tuple[tuple[Exp, GradedPoly], ...]
-    name: str
-
-    def value(self, beta: Exp) -> GradedPoly:
-        beta = normalize(beta)
-        for key, poly in self.support:
-            if key == beta:
-                return poly
-        return GradedPoly.zero(self.p)
-
-
-def phi_beta(p: int, beta) -> OpFunctional:
-    """The functional dual to t^beta: value 1 there, zero elsewhere."""
-    beta = normalize(beta)
-    return OpFunctional(
-        p=p,
-        shift=weight(beta, p),
-        support=((beta, GradedPoly.const(p, 1)),),
-        name=f"phi_{beta}",
-    )
-
-
-def counit(p: int) -> OpFunctional:
-    """The functional dual to 1; acts as the identity in every weight."""
-    return phi_beta(p, ())
-
-
-def phi_alpha_beta(p: int, alpha, beta) -> OpFunctional:
-    """The degree-zero functional with value v^alpha on t^beta."""
-    alpha, beta = normalize(alpha), normalize(beta)
-    if weight(alpha, p) != weight(beta, p):
-        raise ValueError(
-            f"weight mismatch: {alpha} has weight {weight(alpha, p)}, "
-            f"{beta} has weight {weight(beta, p)}"
-        )
-    return OpFunctional(
-        p=p,
-        shift=0,
-        support=((beta, GradedPoly.v_mono(p, alpha)),),
-        name=f"phi_{alpha},{beta}",
-    )
-
-
 @per_table
 def mu_matrix(r: int, table: EtaRTable):
     """Pure-t coefficient scalars mu[i][j] = <t^basis[j]> eta_R(v^basis[i]).
@@ -115,29 +64,28 @@ def mu_matrix(r: int, table: EtaRTable):
     return basis, tuple(rows)
 
 
-def action_matrix(op: OpFunctional, r: int, table: EtaRTable) -> Matrix:
-    """Matrix of the operation's action on the weight-r monomial basis.
+def action_matrix(alpha, beta, r: int, table: EtaRTable) -> Matrix:
+    """Matrix of phi(alpha, beta) on the weight-r monomial basis.
 
-    The image of v^gamma is the sum over the support of value(beta) times
-    the coefficient of t^beta in eta_R(v^gamma), expanded over the basis.
+    phi(alpha, beta) acts in every weight r >= weight(beta) (as zero below
+    it): the image of v^gamma is v^alpha times the coefficient of t^beta in
+    eta_R(v^gamma), expanded over the basis.  ValueError unless alpha and
+    beta have equal weight, as a degree-zero functional must.
     """
-    if op.shift != 0:
-        raise ValueError("only degree-zero operations act within one weight")
     p = table.p
+    alpha, beta = normalize(alpha), normalize(beta)
+    if weight(alpha, p) != weight(beta, p):
+        raise ValueError(
+            f"weight mismatch: {alpha} has weight {weight(alpha, p)}, "
+            f"{beta} has weight {weight(beta, p)}"
+        )
     basis = tuple(enumerate_weight(r, p))
-    index = {alpha: i for i, alpha in enumerate(basis)}
+    index = {a: i for i, a in enumerate(basis)}
+    value = GradedPoly.v_mono(p, alpha)
     cols = []
     for gamma in basis:
-        image = GradedPoly.sum(p, (
-            value * coefficient_of_t(gamma, beta, table)
-            for beta, value in op.support if weight(beta, p) <= r
-        ))
         col = [0] * len(basis)
-        for (v, t), c in image.terms.items():
-            if t or v not in index:
-                raise ConsistencyError(
-                    f"image of v^{gamma} under {op.name} leaves the weight-{r} basis"
-                )
+        for (v, _), c in (value * coefficient_of_t(gamma, beta, table)).terms.items():
             col[index[v]] = c
         cols.append(col)
     return tuple(zip(*cols))
@@ -177,8 +125,6 @@ def solve_column(basis, mu, b: int, p: int):
         x.append((rhs - sum((c * y for c, y in zip(row, x)), Fraction(0))) / row[i])
 
     s = -min(valuation(c, p) for c in x if c != 0)
-    if s < 0:
-        raise ConsistencyError("realization scale has negative p-exponent")
     scale = p ** s
     return scale, {basis[j]: scale * x[j] for j in range(len(basis)) if x[j] != 0}
 
@@ -235,17 +181,3 @@ def functional_matrix(alpha, beta, r: int, table: EtaRTable) -> Matrix:
     return tuple(tuple(row[ib] for row in mu) if i == ia else zero
                  for i in range(len(basis)))
 
-
-def stable_generators(p: int, max_weight: int) -> list[OpFunctional]:
-    """The counit plus every phi(alpha, beta) of weight at most max_weight.
-
-    This family spans the degree-zero functionals on t-monomials of weight
-    up to the bound, hence every degree-zero action in those weights.
-    """
-    gens = [counit(p)]
-    for r in range(1, max_weight + 1):
-        basis = enumerate_weight(r, p)
-        for alpha in basis:
-            for beta in basis:
-                gens.append(phi_alpha_beta(p, alpha, beta))
-    return gens

@@ -3,73 +3,61 @@ from fractions import Fraction
 
 import pytest
 
-from bpcentre.bp_hopf import EtaRTable, GradedPoly
+from bpcentre.bp_hopf import EtaRTable
 from bpcentre.dvr_arith import mat_mul, scalar_value
-from bpcentre.monomial_order import enumerate_weight, weight
+from bpcentre.monomial_order import enumerate_weight
 from bpcentre.op_calculus import (
     ConsistencyError,
     action_matrix,
     adams_matrix,
-    counit,
     elementary_realize,
     functional_matrix,
     mu_matrix,
-    phi_alpha_beta,
-    phi_beta,
     realizations,
-    stable_generators,
 )
+from conftest import phi_pairs
 
 
-def test_phi_beta_basic():
-    op = phi_beta(3, ())
-    assert op.shift == 0
-    assert op.value(()) == GradedPoly.const(3, 1)
-    assert phi_beta(3, (1,)).shift == 1
-    assert phi_beta(3, (0, 1)).shift == 4
-    assert phi_beta(3, (1,)).value((2,)).is_zero()
-
-
-def test_phi_alpha_beta_basic():
-    op = phi_alpha_beta(3, (1,), (1,))
-    assert op.shift == 0
-    assert op.value((1,)) == GradedPoly.v_mono(3, (1,))
-    op2 = phi_alpha_beta(3, (4,), (0, 1))
-    assert op2.value((0, 1)) == GradedPoly.v_mono(3, (4,))
-    assert phi_alpha_beta(3, (), ()).support == counit(3).support
-    with pytest.raises(ValueError):
-        phi_alpha_beta(3, (1,), (2,))
+def test_phi_alpha_beta_basic(table_p3):
+    with pytest.raises(ValueError, match=r"mismatch: \(1,\) has weight 1, \(2,\) has weight 2"):
+        action_matrix((1,), (2,), 2, table_p3)
+    with pytest.raises(ValueError, match="weight mismatch"):
+        action_matrix((4,), (1,), 4, table_p3)
 
 
 def test_counit_acts_as_identity(table_p3):
     for r in range(9):
-        assert scalar_value(action_matrix(counit(3), r, table_p3)) == 1
+        assert scalar_value(action_matrix((), (), r, table_p3)) == 1
 
 
 def test_action_matrix_rejects_degree_shift(table_p3):
-    with pytest.raises(ValueError):
-        action_matrix(phi_beta(3, (1,)), 3, table_p3)
+    # value 1 on t_1 would lower the weight by one: () and (1,) differ in weight
+    with pytest.raises(ValueError, match="weight mismatch"):
+        action_matrix((), (1,), 3, table_p3)
 
 
 def test_action_phi_01_01_weight4(table_p3):
-    m = action_matrix(phi_alpha_beta(3, (0, 1), (0, 1)), 4, table_p3)
+    m = action_matrix((0, 1), (0, 1), 4, table_p3)
     assert tuple(enumerate_weight(4, 3)) == ((4,), (0, 1))
     assert m == ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(3)))
 
 
 def test_action_phi_4_4_weight4(table_p3):
-    m = action_matrix(phi_alpha_beta(3, (4,), (4,)), 4, table_p3)
+    m = action_matrix((4,), (4,), 4, table_p3)
     # c = mu[(0,1), (4,)] = -27, frozen from the right-unit expansion
     assert m == ((Fraction(81), Fraction(-27)), (Fraction(0), Fraction(0)))
 
 
-def test_functional_matrix_agrees_with_action(table_p3):
+@pytest.mark.parametrize("p", [3, 5])
+def test_functional_matrix_agrees_with_action(p, table_p3, table_p5):
+    # the mu route and the coefficient_of_t route to M(alpha, beta)
+    table = table_p3 if p == 3 else table_p5
     for r in range(1, 7):
-        basis = enumerate_weight(r, 3)
+        basis = enumerate_weight(r, p)
         for alpha, beta in itertools.product(basis, repeat=2):
-            direct = functional_matrix(alpha, beta, r, table_p3)
-            general = action_matrix(phi_alpha_beta(3, alpha, beta), r, table_p3)
-            assert direct == general, (r, alpha, beta)
+            direct = functional_matrix(alpha, beta, r, table)
+            general = action_matrix(alpha, beta, r, table)
+            assert direct == general, (p, r, alpha, beta)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -99,8 +87,8 @@ def test_adams_matrix_examples(table_p3):
 def test_adams_commutes_with_actions(table_p3):
     for r in range(5):
         psi = adams_matrix(3, 2, r)
-        for op in stable_generators(3, 4):
-            m = action_matrix(op, r, table_p3)
+        for alpha, beta in phi_pairs(3, 4):
+            m = action_matrix(alpha, beta, r, table_p3)
             assert mat_mul(psi, m) == mat_mul(m, psi)
 
 
@@ -207,26 +195,19 @@ def test_non_integer_coefficient_names_its_column(monkeypatch):
         realizations(1, EtaRTable(3, 1).populate())
 
 
-def test_stable_generators_counts():
-    assert [g.name for g in stable_generators(3, 0)] == ["phi_()"]
-    gens1 = stable_generators(3, 1)
-    assert len(gens1) == 2
-    assert len(stable_generators(3, 4)) == 8
-
-
 def test_degree_zero_consistency(table_p3):
     # every generated operation acts in every weight up to the bound
-    for op in stable_generators(3, 4):
+    for alpha, beta in phi_pairs(3, 4):
         for r in range(5):
-            m = action_matrix(op, r, table_p3)
+            m = action_matrix(alpha, beta, r, table_p3)
             size = len(enumerate_weight(r, 3))
             assert len(m) == size and all(len(row) == size for row in m)
 
 
 def test_action_matrices_are_integral(table_p3):
-    for op in stable_generators(3, 5):
+    for alpha, beta in phi_pairs(3, 5):
         for r in range(6):
-            m = action_matrix(op, r, table_p3)
+            m = action_matrix(alpha, beta, r, table_p3)
             for row in m:
                 for x in row:
                     assert x.denominator % 3 != 0

@@ -17,12 +17,13 @@ from bpcentre.dvr_arith import (
     topological_generator,
 )
 from bpcentre.ktheory_lattice import sg_window
-from bpcentre.op_calculus import action_matrix, stable_generators
+from bpcentre.op_calculus import action_matrix
 from bpcentre.truncation_centre import (
     block_split,
     diagonal_window_lattice,
     phi_window_lattice,
 )
+from conftest import phi_pairs
 
 
 def default_adams_keys(p, N):
@@ -32,13 +33,13 @@ def default_adams_keys(p, N):
 
 def monolithic_window_lattice(N, n, table, adams_keys):
     p = table.p
-    gens = stable_generators(p, N)
+    gens = phi_pairs(p, N)
     n_gen, n_adams = len(gens), len(adams_keys)
     n_vars = n_gen + n_adams + (N + 1)
     rows = []
     for r in range(N + 1):
         split = block_split(r, n, p)
-        actions = [action_matrix(g, r, table) for g in gens]
+        actions = [action_matrix(alpha, beta, r, table) for alpha, beta in gens]
         for i in split.r_indices:
             for j in range(len(split.basis)):
                 row = [0] * n_vars
