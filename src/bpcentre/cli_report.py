@@ -290,7 +290,7 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
                "projections of the basis belong to the smaller window")
     for n in config.heights:
         try:
-            report = compare_with_diagonal_window(N, n, table, (sg, cert))
+            report = compare_with_diagonal_window(N, n, table, sg)
         except ConsistencyError as exc:
             _check(checks, f"congruence-inclusion/n={n}/N={N}", False, str(exc))
             _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", False, str(exc))
@@ -326,7 +326,7 @@ def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
     sg_closure(sg)
     comparisons = [
-        compare_with_diagonal_window(N, n, table, sg)
+        compare_with_diagonal_window(N, n, table, sg[0])
         for n in config.heights
     ]
 

@@ -155,7 +155,7 @@ def lattice_inclusion(inner: DvrLattice, outer: DvrLattice):
     return inclusion, None
 
 
-def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
+def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg: DvrLattice) -> dict:
     """Compare the congruence window with the realizable diagonal windows.
 
     Checks two inclusions exactly and reports the colength of each as its
@@ -163,9 +163,8 @@ def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg) -> dict:
     (:func:`diagonal_window_lattice`), so S_g lies in it by construction and
     its gap is 0 exactly when L_phi lies in S_g; the windows of the phi
     functionals alone lying in S_g is the inclusion that can fail.  ``sg``
-    is :func:`sg_window`'s result for window N; only its lattice is read.
+    is the S_g lattice of window N, the lattice of :func:`sg_window`'s pair.
     """
-    sg = sg[0]
     diagonal = diagonal_window_lattice(N, n, table, sg)
     phi = phi_window_lattice(N, n, table)
     inclusion, gap = lattice_inclusion(sg, diagonal)

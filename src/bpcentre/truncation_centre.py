@@ -125,8 +125,6 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     of [B^T | -p^top I], B the echelon of the forms times p^top and p^top I.
     """
     p = table.p
-    if N > table.max_weight:
-        raise ValueError("window bound exceeds the table bound")
     r_bases, forms = [], {}  # forms[alpha, beta]: x_(alpha, beta) as (numerators, k)
     for r in range(N + 1):
         split = block_split(r, n, p)

@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from bpcentre import EtaRTable, enumerate_weight
+from bpcentre.bp_hopf import EtaRTable
+from bpcentre.monomial_order import enumerate_weight
 
 
 @pytest.fixture(scope="session")
