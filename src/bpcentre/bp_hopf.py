@@ -25,12 +25,13 @@ import hashlib
 import os
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import chain
+from operator import itemgetter
 
 from .dvr_arith import is_odd_prime
 from .monomial_order import (
     Exp,
     enumerate_weight,
+    max_generator_index,
     normalize,
     sort_key,
     unit_exp,
@@ -158,13 +159,12 @@ class GradedPoly:
             raise ValueError("mixed primes")
         if not (self.terms and other.terms):
             return GradedPoly._trusted(self.p, {}, None)
-        # Each key is packed into one int: the v exponents, then the t
-        # exponents, in fields of w.bit_length() bits.  Every generator has
+        # Each key is packed into one int (see _packed).  Every generator has
         # weight >= 1, so no exponent of a weight-w product exceeds w: adding
         # two packed keys adds their exponents without a carry.
         w = self.weight + other.weight
         width = w.bit_length()
-        shift = width * max(len(v) for v, _ in chain(self.terms, other.terms))
+        shift = width * max_generator_index(w, self.p)
         a, b = _packed(self.terms, width, shift), _packed(other.terms, width, shift)
         if len(a) < len(b):
             a, b = b, a
@@ -232,18 +232,30 @@ class GradedPoly:
     __repr__ = __str__
 
 
+def _pack(exp: Exp, width: int) -> int:
+    """Exponent i of exp in bits [i*width, (i+1)*width) of one int."""
+    x = 0
+    for e in reversed(exp):
+        x = x << width | e
+    return x
+
+
 def _packed(terms: dict, width: int, shift: int) -> list[tuple[int, int | Fraction]]:
     """(packed key, coefficient) per term: exponent i of v in bits
-    [i*width, (i+1)*width), exponent i of t from bit shift + i*width on."""
+    [i*width, (i+1)*width), exponent i of t from bit shift + i*width on.
+
+    For monomials of weight at most w, with width = w.bit_length() and shift
+    = width * max_generator_index(w, p), every exponent fits its field and
+    every v fits below the t fields, so packed keys order exactly as
+    mono_sort_key: the t part is compared first, and within a part a longer
+    normalized sequence fills a higher field, while sequences of one length
+    compare from the highest index down (right-lexicographically)."""
     seen: dict[Exp, int] = {}
 
     def pack(exp: Exp) -> int:
         x = seen.get(exp)
         if x is None:
-            x = 0
-            for e in reversed(exp):
-                x = x << width | e
-            seen[exp] = x
+            x = seen[exp] = _pack(exp, width)
         return x
 
     return [(pack(v) | pack(t) << shift, c) for (v, t), c in terms.items()]
@@ -418,21 +430,28 @@ class EtaRTable:
     def _pieces(self):
         """The canonical document as (part, bytes) pieces, yielded one at a
         time in order: the header, each entry v^gamma led by its separator,
-        and the end.  Each distinct exponent is rendered, and each monomial
-        keyed, once."""
+        and the end.  Terms are sorted by their packed keys at the table's
+        weight bound, which order as mono_sort_key (see _packed); each
+        distinct exponent is packed and rendered once."""
         self.populate()
-        text, order = cache(lambda e: _json_list(e, 10)), cache(mono_sort_key)
+        width = self.max_weight.bit_length()
+        shift = width * max_generator_index(self.max_weight, self.p)
+        exp = cache(lambda e: (_pack(e, width), _json_list(e, 10)))
         yield "the header", (f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
                              f'  "max_weight": {self.max_weight},\n  "entries": [').encode()
         sep = ""
         for gamma in self.keys():
-            terms = self._cache[gamma].terms
+            rows = []
+            for (v, t), c in self._cache[gamma].terms.items():
+                (kv, v_text), (kt, t_text) = exp(v), exp(t)
+                rows.append((kv | kt << shift, v_text, t_text, c))
+            rows.sort(key=itemgetter(0))
             rows = [
-                f'{{\n          "v_exponents": {text(v)},\n'
-                f'          "t_exponents": {text(t)},\n'
-                f'          "coefficient_numerator": "{terms[v, t].numerator}",\n'
-                f'          "coefficient_denominator": "{terms[v, t].denominator}"\n        }}'
-                for v, t in sorted(terms, key=order)
+                f'{{\n          "v_exponents": {v_text},\n'
+                f'          "t_exponents": {t_text},\n'
+                f'          "coefficient_numerator": "{c.numerator}",\n'
+                f'          "coefficient_denominator": "{c.denominator}"\n        }}'
+                for _, v_text, t_text, c in rows
             ]
             yield (f"entry v^{gamma}",
                    (f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'

@@ -45,16 +45,18 @@ def valuation(x, p: int):
     always have valuation >= 0.
     """
     _check_prime(p)
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    if x == 0:
+    if type(x) is int:
+        n, d = x, 1
+    else:
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        n, d = x.numerator, x.denominator
+    if n == 0:
         return INFINITY
     v = 0
-    n = abs(x.numerator)
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
