@@ -163,8 +163,7 @@ class GradedPoly:
         # weight >= 1, so no exponent of a weight-w product exceeds w: adding
         # two packed keys adds their exponents without a carry.
         w = self.weight + other.weight
-        width = w.bit_length()
-        shift = width * max_generator_index(w, self.p)
+        width, shift = _layout(w, self.p)
         a, b = _packed(self.terms, width, shift), _packed(other.terms, width, shift)
         if len(a) < len(b):
             a, b = b, a
@@ -232,6 +231,14 @@ class GradedPoly:
     __repr__ = __str__
 
 
+def _layout(w: int, p: int) -> tuple[int, int]:
+    """(width, shift) of the packed keys of monomials of weight at most w:
+    fields of w.bit_length() bits, the t part above the v part's
+    max_generator_index(w, p) fields."""
+    width = w.bit_length()
+    return width, width * max_generator_index(w, p)
+
+
 def _pack(exp: Exp, width: int) -> int:
     """Exponent i of exp in bits [i*width, (i+1)*width) of one int."""
     x = 0
@@ -244,12 +251,12 @@ def _packed(terms: dict, width: int, shift: int) -> list[tuple[int, int | Fracti
     """(packed key, coefficient) per term: exponent i of v in bits
     [i*width, (i+1)*width), exponent i of t from bit shift + i*width on.
 
-    For monomials of weight at most w, with width = w.bit_length() and shift
-    = width * max_generator_index(w, p), every exponent fits its field and
-    every v fits below the t fields, so packed keys order exactly as
-    mono_sort_key: the t part is compared first, and within a part a longer
-    normalized sequence fills a higher field, while sequences of one length
-    compare from the highest index down (right-lexicographically)."""
+    For monomials of weight at most w, in the fields _layout(w, p) gives,
+    every exponent fits its field and every v fits below the t fields, so
+    packed keys order exactly as mono_sort_key: the t part is compared
+    first, and within a part a longer normalized sequence fills a higher
+    field, while sequences of one length compare from the highest index
+    down (right-lexicographically)."""
     seen: dict[Exp, int] = {}
 
     def pack(exp: Exp) -> int:
@@ -434,8 +441,7 @@ class EtaRTable:
         weight bound, which order as mono_sort_key (see _packed); each
         distinct exponent is packed and rendered once."""
         self.populate()
-        width = self.max_weight.bit_length()
-        shift = width * max_generator_index(self.max_weight, self.p)
+        width, shift = _layout(self.max_weight, self.p)
         exp = cache(lambda e: (_pack(e, width), _json_list(e, 10)))
         yield "the header", (f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
                              f'  "max_weight": {self.max_weight},\n  "entries": [').encode()

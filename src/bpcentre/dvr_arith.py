@@ -45,12 +45,9 @@ def valuation(x, p: int):
     always have valuation >= 0.
     """
     _check_prime(p)
-    if type(x) is int:
-        n, d = x, 1
-    else:
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        n, d = x.numerator, x.denominator
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    n, d = x.numerator, x.denominator
     if n == 0:
         return INFINITY
     v = 0

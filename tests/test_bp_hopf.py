@@ -13,6 +13,7 @@ from bpcentre.bp_hopf import (
     EtaRTable,
     GradedPoly,
     IntegralityError,
+    _layout,
     _packed,
     check_integrality,
     coefficient_of_t,
@@ -21,14 +22,7 @@ from bpcentre.bp_hopf import (
     substitute_m,
 )
 from bpcentre.dvr_arith import valuation
-from bpcentre.monomial_order import (
-    add,
-    enumerate_weight,
-    max_generator_index,
-    sort_key,
-    unit_exp,
-    weight,
-)
+from bpcentre.monomial_order import add, enumerate_weight, sort_key, unit_exp, weight
 
 
 # ---------------------------------------------------------------------------
@@ -370,27 +364,10 @@ def test_cache_load_rejects_incomplete(tmp_path):
 
 
 def test_save_and_load_stream_the_document(tmp_path):
-    """At p=3 W=30 the document is 7.36 MB; writing it and comparing a cache
-    with it each allocate less than half of that at their peak."""
-    table = EtaRTable(3, 30).populate()
-    path = tmp_path / "cache.json"
-    peaks = {}
-    for step in (table.save, table.load):
-        tracemalloc.start()
-        try:
-            step(path)
-            peaks[step.__name__] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    size = path.stat().st_size
-    assert size == 7_356_562
-    assert all(peak < size / 2 for peak in peaks.values()), (peaks, size)
-
-
-def test_serializing_allocates_an_eighth_of_the_document(tmp_path):
-    """Terms are keyed by packed ints and each distinct exponent is rendered
-    once, so saving, comparing and hashing the 7.36 MB document at p=3 W=30
-    each peak below an eighth of its size."""
+    """At p=3 W=30 the document is 7.36 MB; writing it, comparing a cache
+    with it and hashing it each allocate less than an eighth of that at
+    their peak: the document streams, and terms are keyed by packed ints
+    with each distinct exponent rendered once."""
     table = EtaRTable(3, 30).populate()
     path = tmp_path / "cache.json"
     peaks = {}
@@ -402,8 +379,9 @@ def test_serializing_allocates_an_eighth_of_the_document(tmp_path):
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert path.stat().st_size == 7_356_562
-    assert all(peak < 7_356_562 / 8 for peak in peaks.values()), peaks
+    size = path.stat().st_size
+    assert size == 7_356_562
+    assert all(peak < size / 8 for peak in peaks.values()), (peaks, size)
 
 
 def test_load_names_a_change_deep_in_a_large_entry(tmp_path):
@@ -577,34 +555,19 @@ def test_packed_product_exponents_that_fill_a_field(k):
         assert (x * y).terms[(), (2**k - 1,)] == -2
 
 
-def assert_packed_keys_order_as_mono_sort_key(monos, p, max_weight):
-    """The keys _packed gives monomials of weight <= max_weight, in the
-    fields the table's serializer uses, are distinct and order them as
-    mono_sort_key."""
-    monos = dict.fromkeys(monos, 1)
-    width = max_weight.bit_length()
-    keyed = _packed(monos, width, width * max_generator_index(max_weight, p))
-    packed = dict(zip(monos, (k for k, _ in keyed)))
-    assert len(set(packed.values())) == len(packed)
-    assert sorted(packed, key=packed.get) == sorted(packed, key=mono_sort_key)
-
-
-@pytest.mark.parametrize("p,max_weight", [(3, 0), (3, 1), (3, 20), (5, 31), (7, 20)])
-def test_packed_keys_order_table_terms_as_mono_sort_key(p, max_weight):
-    # All terms of all entries at once, so the order also holds within each entry.
-    table = EtaRTable(p, max_weight).populate()
-    assert_packed_keys_order_as_mono_sort_key(
-        (key for gamma in table.keys() for key in table.eta(gamma).terms), p, max_weight)
-
-
 @pytest.mark.parametrize("max_weight", [1, 7, 8, 13, 20, 31, 32])
 def test_packed_keys_of_every_monomial_up_to_the_bound(max_weight):
-    # Every (v, t) monomial of weight <= W at p=3, among them v_1^W and t_1^W,
-    # whose exponent W is the largest a field holds (all of it at W = 2^k - 1).
+    """Every (v, t) monomial of weight <= W at p=3, among them v_1^W and
+    t_1^W, whose exponent W is the largest a field holds (all of it at
+    W = 2^k - 1): in the fields the table's serializer uses, their packed
+    keys are distinct and order them as mono_sort_key."""
     monos = [(v, t) for r in range(max_weight + 1) for s in range(r + 1)
              for v in enumerate_weight(s, 3) for t in enumerate_weight(r - s, 3)]
     assert ((max_weight,), ()) in monos and ((), (max_weight,)) in monos
-    assert_packed_keys_order_as_mono_sort_key(monos, 3, max_weight)
+    keyed = _packed(dict.fromkeys(monos, 1), *_layout(max_weight, 3))
+    packed = dict(zip(monos, (k for k, _ in keyed)))
+    assert len(set(packed.values())) == len(packed)
+    assert sorted(packed, key=packed.get) == sorted(packed, key=mono_sort_key)
 
 
 def test_store_refuses_non_integer_coefficients():
