@@ -1,7 +1,8 @@
-"""Report bytes are pinned for six configurations: verify all, lattices
+"""Report bytes are pinned for nine configurations: verify all, lattices
 and eta-table in every format, the deeper p=3 lattices run in json and
-markdown, the stress lattices run (window N=13, entries past 500 bits) and
-the centre suite in json.
+markdown, the stress lattices run (window N=13, entries past 500 bits), the
+centre suite in json, and the benchmark's verify-warm (every format) and
+eta-table (json) configurations.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -38,12 +39,19 @@ CONFIGS = {
     # W=13 is the first weight with v_3; at height 3 the whole basis is R.
     "centre_p3_w13": ["verify", "centre", "--p", "3", "--max-weight", "13",
                       "--heights", "1,2,3"],
+    # The benchmark's verify-warm and eta-table configurations.
+    "verify_p3_w16": ["verify", "all", "--p", "3", "--max-weight", "16", "--N", "5",
+                      "--heights", "1,2,3"],
+    "eta_p3_w20": ["eta-table", "--p", "3", "--max-weight", "20"],
+    "eta_p5_w31": ["eta-table", "--p", "5", "--max-weight", "31"],
 }
 FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
-CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14")
+CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14",
+                                  "verify_p3_w16")
          for fmt in FORMATS]
 CASES += [("lattices_p3_w13", "json"), ("lattices_p3_w13", "markdown"),
-          ("lattices_p3_w16_n13", "json"), ("centre_p3_w13", "json")]
+          ("lattices_p3_w16_n13", "json"), ("centre_p3_w13", "json"),
+          ("eta_p3_w20", "json"), ("eta_p5_w31", "json")]
 
 
 # How each format prints the cache status, as written by a cold run.
