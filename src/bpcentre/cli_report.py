@@ -52,7 +52,8 @@ from .op_calculus import ConsistencyError, mu_matrix, realizations
 from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
-SUITES = ("etaR", "triangular", "realize", "centre", "congruence", "all")
+# The check suites, in report order; suite NAME runs ``suite_NAME``.
+SUITES = ("etaR", "triangular", "realize", "centre", "congruence")
 
 
 class ConfigError(ValueError):
@@ -61,14 +62,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, named as the report's config keys and the options' dests."""
+
     p: int = 3
     max_weight: int = 13
     heights: tuple[int, ...] = (1, 2)
-    window: int = 5
+    N: int | None = None
     q: int | None = None
     cache_dir: str = ".bpcentre-cache"
-    fmt: str = "markdown"
-    caps: tuple[int, int] | None = None
+    format: str = "markdown"
+    caps: tuple[int, ...] | None = None
     margin: int = 4
 
     def __post_init__(self):
@@ -78,36 +81,25 @@ class RunConfig:
             raise ConfigError(f"q must generate the units of Z/{self.p**2}, got {self.q}")
         if self.max_weight < 1:
             raise ConfigError("max-weight must be at least 1")
-        if not (0 <= self.window <= self.max_weight):
+        if self.N is not None and not (0 <= self.N <= self.max_weight):
             raise ConfigError("N must satisfy 0 <= N <= max-weight")
         if not self.heights or any(n < 1 for n in self.heights):
             raise ConfigError("heights must be positive integers")
         if len(set(self.heights)) != len(self.heights):
             raise ConfigError(f"heights must not repeat, got {list(self.heights)}")
-        if self.fmt not in ("json", "csv", "markdown"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.format not in ("json", "csv", "markdown"):
+            raise ConfigError(f"unknown format {self.format!r}")
         if self.margin < 1:
             raise ConfigError("margin must be positive")
-        if self.caps is not None and (self.caps[0] < 0 or self.caps[1] < 0):
-            raise ConfigError("caps must be non-negative")
+        if self.caps is not None and (len(self.caps) != 2 or min(self.caps) < 0):
+            raise ConfigError(f"caps must be two non-negative integers M,S, got {list(self.caps)}")
         # Resolve the defaults once; every consumer reads the resolved values.
+        if self.N is None:
+            object.__setattr__(self, "N", min(5, self.max_weight))
         if self.q is None:
             object.__setattr__(self, "q", topological_generator(self.p))
         if self.caps is None:
-            object.__setattr__(self, "caps", default_caps(self.window))
-
-    def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "max_weight": self.max_weight,
-            "heights": list(self.heights),
-            "N": self.window,
-            "q": self.q,
-            "cache_dir": self.cache_dir,
-            "format": self.fmt,
-            "caps": list(self.caps),
-            "margin": self.margin,
-        }
+            object.__setattr__(self, "caps", default_caps(self.N))
 
     def cache_path(self) -> str:
         name = f"etaR_p{self.p}_hazewinkel_w{self.max_weight}.json"
@@ -144,6 +136,22 @@ def weight_stats(table: EtaRTable, r: int):
     return gammas, terms, max_val
 
 
+def triangular_faults(r: int, table: EtaRTable):
+    """(weight-r basis, row by row the entries of mu that break its shape:
+    lower triangular with diagonal p^(sum of exponents))."""
+    p = table.p
+    basis, mu = mu_matrix(r, table)
+    faults = []
+    for i, gamma in enumerate(basis):
+        for j, beta in enumerate(basis):
+            value = mu[i][j]
+            if i < j and value != 0:
+                faults.append(f"mu[{gamma},{beta}]={value}!=0")
+            if i == j and value != p ** sum(beta):
+                faults.append(f"mu[{beta},{beta}]={value}")
+    return basis, faults
+
+
 def _check(checks: list, check_id: str, ok: bool, witness: str) -> bool:
     checks.append({"id": check_id, "status": "PASS" if ok else "FAIL",
                    "witness": witness})
@@ -178,12 +186,10 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
 
     for r in range(config.max_weight + 1):
         # Pure-t terms have weight r: row i of mu holds all of eta_R(v^basis[i]).
-        basis, mu = mu_matrix(r, table)
-        top_ok = all(row[i] == p ** sum(basis[i]) and not any(row[i + 1:])
-                     for i, row in enumerate(mu))
+        basis, faults = triangular_faults(r, table)
         counit_ok = all(table.eta(gamma).t_evaluated_at_zero() == GradedPoly.v_mono(p, gamma)
                         for gamma in basis)
-        _check(checks, f"top-term/w={r}", top_ok,
+        _check(checks, f"top-term/w={r}", not faults,
                f"top pure-t coefficient is p^(sum gamma) on {len(basis)} monomials")
         _check(checks, f"counit/w={r}", counit_ok,
                "t -> 0 returns v^gamma exactly")
@@ -192,23 +198,10 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 def suite_triangular(config: RunConfig, table: EtaRTable) -> list[dict]:
     checks: list[dict] = []
-    p = config.p
     for r in range(config.max_weight + 1):
-        basis, mu = mu_matrix(r, table)
-        ok = True
-        witness_parts = []
-        for i, gamma in enumerate(basis):
-            for j, beta in enumerate(basis):
-                value = mu[i][j]
-                if i < j and value != 0:
-                    ok = False
-                    witness_parts.append(f"mu[{gamma},{beta}]={value}!=0")
-                if i == j and value != p ** sum(beta):
-                    ok = False
-                    witness_parts.append(f"mu[{beta},{beta}]={value}")
-        witness = f"pairs={len(basis)**2}" + ("; " + "; ".join(witness_parts[:3])
-                                              if witness_parts else "")
-        _check(checks, f"triangular/w={r}", ok, witness)
+        basis, faults = triangular_faults(r, table)
+        witness = f"pairs={len(basis)**2}" + ("; " + "; ".join(faults[:3]) if faults else "")
+        _check(checks, f"triangular/w={r}", not faults, witness)
     return checks
 
 
@@ -260,7 +253,7 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
     checks: list[dict] = []
-    p, q, N = config.p, config.q, config.window
+    p, q, N = config.p, config.q, config.N
     try:
         sg, cert = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
     except StabilizationError as exc:
@@ -283,9 +276,7 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
         _check(checks, f"sg-closure/N={N}", False, str(exc))
     if N >= 1:
         smaller, _ = sg_window(p, N - 1, q=q, caps=config.caps, margin=config.margin)
-        nested = all(
-            sg_membership(col[: N], smaller) is not None for col in sg.basis
-        )
+        nested = all(sg_membership(col[:N], smaller) is not None for col in sg.basis)
         _check(checks, f"sg-nesting/N={N}->{N - 1}", nested,
                "projections of the basis belong to the smaller window")
     for n in config.heights:
@@ -295,26 +286,20 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
             _check(checks, f"congruence-inclusion/n={n}/N={N}", False, str(exc))
             _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", False, str(exc))
             continue
-        sg_div = f"sg divisors {report['sg_divisors']}"
+        sg_div = f"sg divisors {report['sg']}"
         _check(checks, f"congruence-inclusion/n={n}/N={N}", report["inclusion"],
-               f"{sg_div} diagonal divisors {report['diagonal_divisors']} "
-               f"gap={report['gap_colength']}")
+               f"{sg_div} diagonal divisors {report['diagonal']} gap={report['gap']}")
         _check(checks, f"congruence-phi-inclusion/n={n}/N={N}", report["phi_inclusion"],
-               f"phi divisors {report['phi_divisors']} {sg_div} "
-               f"gap={report['phi_gap_colength']}")
+               f"phi divisors {report['phi']} {sg_div} gap={report['phi_gap']}")
     return checks
 
 
 def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
-    runners = {
-        "etaR": suite_etaR,
-        "triangular": suite_triangular,
-        "realize": suite_realize,
-        "centre": suite_centre,
-        "congruence": suite_congruence,
-    }
-    names = list(runners) if suite == "all" else [suite]
-    return [{"name": name, "checks": runners[name](config, table)} for name in names]
+    # Each suite is looked up by its module name at call time, so a wrapper
+    # bound to that name (as bench/tracing.py binds one) is the one that runs.
+    names = SUITES if suite == "all" else (suite,)
+    return [{"name": name, "checks": globals()[f"suite_{name}"](config, table)}
+            for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -322,27 +307,19 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
-    p, q, N = config.p, config.q, config.window
-    sg = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
+    """The comparisons' keys, grouped over the heights: S_g's divisors once,
+    each inclusion as one flag for all heights, the rest by height."""
+    sg = sg_window(config.p, config.N, q=config.q, caps=config.caps, margin=config.margin)
     sg_closure(sg)
-    comparisons = [
-        compare_with_diagonal_window(N, n, table, sg[0])
-        for n in config.heights
-    ]
-
-    def by_height(key: str) -> dict:
-        return {str(c["height"]): c[key] for c in comparisons}
-
-    return {
-        "sg": list(sg[0].elementary_divisors),
-        "diagonal": by_height("diagonal_divisors"),
-        "inclusion": all(c["inclusion"] for c in comparisons),
-        "gap": by_height("gap_colength"),
-        "phi": by_height("phi_divisors"),
-        "phi_inclusion": all(c["phi_inclusion"] for c in comparisons),
-        "phi_gap": by_height("phi_gap_colength"),
-        "stabilization": asdict(sg[1]),
-    }
+    comparisons = [compare_with_diagonal_window(config.N, n, table, sg[0])
+                   for n in config.heights]
+    report = {}
+    for key in comparisons[0]:
+        values = [c[key] for c in comparisons]
+        report[key] = (values[0] if key == "sg" else all(values) if key.endswith("inclusion")
+                       else dict(zip(map(str, config.heights), values)))
+    report["stabilization"] = asdict(sg[1])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +451,7 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
     except (ValueError, OSError) as exc:
         sys.stdout.write(f"FAIL cache: {exc}\n")
         return 1
-    report = {"config": config.as_dict(), "cache": cache, "suites": [],
+    report = {"config": asdict(config), "cache": cache, "suites": [],
               "lattices": None}
     if command == "eta-table":
         report.update(eta_sections(config, table))
@@ -487,7 +464,7 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
             stage = type(exc).__name__.removesuffix("Error").lower()
             sys.stdout.write(f"FAIL {stage}: {exc}\n")
             return 1
-    sys.stdout.write(render_report(report, config.fmt))
+    sys.stdout.write(render_report(report, config.format))
     return overall_status(report)
 
 
@@ -495,51 +472,34 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _ints(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; empty items are skipped."""
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
     parser.add_argument("--max-weight", type=int, default=13,
                         help="weight bound for the right-unit table")
-    parser.add_argument("--heights", type=str, default="1,2",
+    parser.add_argument("--heights", type=_ints, default="1,2",
                         help="comma-separated truncation heights")
-    parser.add_argument("--N", type=int, default=None, dest="window",
+    parser.add_argument("--N", type=int, default=None,
                         help="window bound for the lattices (default min(5, max-weight))")
     parser.add_argument("--q", type=int, default=None,
                         help="override the topological generator")
-    parser.add_argument("--cache", type=str, default=None,
+    parser.add_argument("--cache", type=str, dest="cache_dir",
+                        default=os.environ.get(CACHE_ENV_VAR) or RunConfig.cache_dir,
                         help=f"cache directory (or ${CACHE_ENV_VAR})")
     parser.add_argument("--format", type=str, default="markdown",
                         choices=("json", "csv", "markdown"))
-    parser.add_argument("--caps", type=str, default=None,
+    parser.add_argument("--caps", type=_ints, default=None,
                         help="generator caps as M,S for the Adams span")
     parser.add_argument("--margin", type=int, default=4,
                         help="stabilization margin for the Adams span")
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    try:
-        heights = tuple(int(x) for x in args.heights.split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad heights {args.heights!r}") from exc
-    caps = None
-    if args.caps is not None:
-        try:
-            m_cap, s_cap = (int(x) for x in args.caps.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad caps {args.caps!r}; expected M,S") from exc
-        caps = (m_cap, s_cap)
-    cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR) or ".bpcentre-cache"
-    window = args.window if args.window is not None else min(5, args.max_weight)
-    return RunConfig(
-        p=args.p,
-        max_weight=args.max_weight,
-        heights=heights,
-        window=window,
-        q=args.q,
-        cache_dir=cache_dir,
-        fmt=args.format,
-        caps=caps,
-        margin=args.margin,
-    )
 
 
 def main(argv=None) -> int:
@@ -554,19 +514,20 @@ def main(argv=None) -> int:
     _add_common(p_eta)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     _add_common(p_verify)
 
     p_lat = sub.add_parser("lattices", help="compute and compare window lattices")
     _add_common(p_lat)
 
-    args = parser.parse_args(argv)
+    options = vars(parser.parse_args(argv))
+    command, suite = options.pop("command"), options.pop("suite", "all")
     try:
-        config = build_config(args)
+        config = RunConfig(**options)
     except ConfigError as exc:
         parser.error(str(exc))  # exits with code 2
 
-    return run_command(config, args.command, getattr(args, "suite", "all"))
+    return run_command(config, command, suite)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 INFINITY = math.inf
 
@@ -159,12 +159,6 @@ class DvrLattice:
         """Length of Z_(p)^m / L when full rank; sum of pivot exponents."""
         return sum(self.elementary_divisors)
 
-    @cached_property
-    def integer_columns(self) -> tuple[tuple[list[int], int], ...]:
-        """Each basis column as (c, u), the column being c/u
-        (:func:`integer_scaling`)."""
-        return tuple(integer_scaling(col) for col in self.basis)
-
 
 def integer_scaling(entries) -> tuple[list[int], int]:
     """(d*v as ints, d) for the vector v of the entries and the least common
@@ -298,24 +292,21 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
 def lattice_membership(v, lattice: DvrLattice):
     """Coefficients of v over the echelon basis, or None when v is outside.
 
-    A returned certificate re-multiplies to v exactly.
+    A returned certificate re-multiplies to v exactly: each column has p^e at
+    its pivot row, so its coefficient is the residual's entry there over p^e.
     """
     p = lattice.p
-    residual, d = integer_scaling(v)  # the residual is residual/d
+    residual = list(v)
     if len(residual) != lattice.ambient_rank:
         raise ValueError("vector rank does not match lattice ambient rank")
-    if d % p == 0:
-        return None
     coeffs = []
-    for (c, u), (row, e) in zip(lattice.integer_columns, lattice.pivots):
-        # the column c/u has p^e at its pivot
-        k, rem = divmod(residual[row], p**e)
-        if rem:
+    for col, (row, e) in zip(lattice.basis, lattice.pivots):
+        k = Fraction(residual[row], p**e)
+        if k.denominator % p == 0:
             return None
-        coeffs.append(k if d == 1 else Fraction(k, d))
-        if u != 1:
-            residual, d = [u * x for x in residual], d * u
-        residual = [x - k * y for x, y in zip(residual, c)]
+        k = k.numerator if k.denominator == 1 else k
+        coeffs.append(k)
+        residual = [x - k * y for x, y in zip(residual, col)]
     if any(residual):
         return None
     return tuple(coeffs)

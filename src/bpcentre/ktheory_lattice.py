@@ -15,14 +15,12 @@ raises, never silently truncates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
     DvrLattice,
     echelon_lattice,
-    integer_scaling,
     lattice_membership,
     topological_generator,
 )
@@ -105,22 +103,14 @@ def sg_membership(w, lattice: DvrLattice):
     """Membership certificate of a window in a computed lattice, re-verified.
 
     Returns the coefficients over the echelon basis or None; a returned
-    certificate has been checked by exact re-expansion.
+    certificate has been checked by exact re-expansion over the basis.
     """
     w = tuple(w)
-    vec, d = integer_scaling(w)  # the window is vec/d
     cert = lattice_membership(w, lattice)
     if cert is None:
         return None
-    # Re-expand over the integers: with cert = coeffs/dc and the columns c/u,
-    # dc*du * sum(cert_j * column_j) = sum(coeffs_j * (du/u_j) * c_j).
-    coeffs, dc = integer_scaling(cert)
-    du = math.lcm(*[u for _, u in lattice.integer_columns])
-    rebuilt = [0] * len(vec)
-    for k, (c, u) in zip(coeffs, lattice.integer_columns):
-        f = k * (du // u)
-        rebuilt = [x + f * y for x, y in zip(rebuilt, c)]
-    if [x * d for x in rebuilt] != [x * dc * du for x in vec]:
+    rebuilt = tuple(sum(k * col[i] for k, col in zip(cert, lattice.basis)) for i in range(len(w)))
+    if rebuilt != w:
         raise AssertionError("membership certificate failed re-expansion")
     return cert
 
@@ -170,12 +160,11 @@ def compare_with_diagonal_window(N: int, n: int, table: EtaRTable, sg: DvrLattic
     inclusion, gap = lattice_inclusion(sg, diagonal)
     phi_inclusion, phi_gap = lattice_inclusion(phi, sg)
     return {
-        "height": n,
-        "sg_divisors": list(sg.elementary_divisors),
-        "diagonal_divisors": list(diagonal.elementary_divisors),
+        "sg": list(sg.elementary_divisors),
+        "diagonal": list(diagonal.elementary_divisors),
         "inclusion": inclusion,
-        "gap_colength": gap,
-        "phi_divisors": list(phi.elementary_divisors),
+        "gap": gap,
+        "phi": list(phi.elementary_divisors),
         "phi_inclusion": phi_inclusion,
-        "phi_gap_colength": phi_gap,
+        "phi_gap": phi_gap,
     }

@@ -31,7 +31,8 @@ from .dvr_arith import (
     is_integral,
     valuation,
 )
-from .monomial_order import Exp, add, enumerate_weight, in_ideal, normalize, weight
+from .monomial_order import (Exp, add, enumerate_weight, in_ideal, max_generator_index,
+                             normalize, weight)
 from .op_calculus import ConsistencyError, adams_sequence, per_table, realizations
 
 
@@ -123,8 +124,14 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     coeffs/mu_bar of :func:`realizations`, so each x_(alpha, beta) is a form in
     the window.  L_phi, where all are integral, is the m-part of the kernel
     of [B^T | -p^top I], B the echelon of the forms times p^top and p^top I.
+
+    Weights up to N see only v_1..v_h, h = max(1, max_generator_index(N)), so
+    every height n > h returns the memoized lattice of height h.
     """
     p = table.p
+    top_height = max(1, max_generator_index(N, p))
+    if n > top_height:
+        return phi_window_lattice(N, top_height, table)
     r_bases, forms = [], {}  # forms[alpha, beta]: x_(alpha, beta) as (numerators, k)
     for r in range(N + 1):
         split = block_split(r, n, p)

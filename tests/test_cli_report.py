@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,6 @@ import pytest
 from bpcentre.cli_report import (
     ConfigError,
     RunConfig,
-    build_config,
     main,
     render_report,
 )
@@ -31,11 +31,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(max_weight=0)
     with pytest.raises(ConfigError):
-        RunConfig(window=9, max_weight=8)
+        RunConfig(N=9, max_weight=8)
     with pytest.raises(ConfigError):
         RunConfig(heights=())
     with pytest.raises(ConfigError):
-        RunConfig(fmt="yaml")
+        RunConfig(format="yaml")
     with pytest.raises(ConfigError):
         RunConfig(heights=(1, 2, 1))
 
@@ -87,6 +87,37 @@ def test_bad_caps_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lattices", "--caps", "oops", "--cache", str(tmp_path / "cache")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--heights", "x", "argument --heights: expected comma-separated integers, got 'x'"),
+    ("--caps", "oops", "argument --caps: expected comma-separated integers, got 'oops'"),
+    ("--caps", "1,2,3", "caps must be two non-negative integers M,S, got [1, 2, 3]"),
+    ("--caps", "1", "caps must be two non-negative integers M,S, got [1]"),
+])
+def test_bad_list_option_is_usage_error_naming_it(option, value, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattices", option, value, "--cache", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err
+
+
+def test_json_config_keys_are_the_run_config_fields(tmp_path, capsys):
+    code, out = run_cli(capsys, ["verify", "triangular", "--max-weight", "2",
+                                 "--format", "json", "--cache", str(tmp_path / "cache")])
+    assert code == 0
+    assert list(json.loads(out)["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_verify_suite_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    assert exc.value.code == 2
+    choices = re.search(r"choose from (.*)\)", capsys.readouterr().err).group(1)
+    assert choices.replace("'", "").split(", ") == [
+        "etaR", "triangular", "realize", "centre", "congruence", "all"]
 
 
 def test_verify_triangular(tmp_path, capsys):
@@ -380,14 +411,11 @@ def test_non_canonical_cache_document_fails_closed(tmp_path, capsys):
     assert out.startswith(f"FAIL cache: cache {path}: the header differs")
 
 
-def test_build_config_window_defaults():
-    import argparse
-    ns = argparse.Namespace(
-        p=3, max_weight=3, heights="1", window=None, q=None,
-        cache=None, format="json", caps=None, margin=4,
-    )
-    config = build_config(ns)
-    assert config.window == 3
+def test_run_config_window_defaults():
+    assert RunConfig(max_weight=3).N == 3
+    assert RunConfig(max_weight=13).N == 5
+    assert RunConfig(max_weight=13, N=0).N == 0
+    assert RunConfig(max_weight=3).caps == (11, 3)
 
 
 def test_render_report_covers_lattices():
@@ -418,7 +446,7 @@ def test_non_generator_q_is_rejected(q, tmp_path, capsys):
 
 @pytest.mark.parametrize("q", [2, 5])
 def test_generator_q_is_accepted(q):
-    assert RunConfig(p=3, q=q).as_dict()["q"] == q
+    assert RunConfig(p=3, q=q).q == q
 
 
 def test_large_p_resolves_q_without_stepping_through_powers():

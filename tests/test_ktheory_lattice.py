@@ -117,14 +117,14 @@ def test_stabilization_failure_is_loud():
 def test_compare_with_diagonal_window(table_p3):
     report = compare_with_diagonal_window(0, 1, table_p3, sg_window(3, 0)[0])
     assert report["inclusion"] is True
-    assert report["sg_divisors"] == [0]
-    assert report["diagonal_divisors"] == [0]
-    assert report["gap_colength"] == 0
+    assert report["sg"] == [0]
+    assert report["diagonal"] == [0]
+    assert report["gap"] == 0
 
     report = compare_with_diagonal_window(3, 2, table_p3, sg_window(3, 3)[0])
     assert report["inclusion"] is True
-    assert report["gap_colength"] is not None
-    assert report["gap_colength"] >= 0
+    assert report["gap"] is not None
+    assert report["gap"] >= 0
 
 
 @pytest.mark.parametrize("p,N", [(3, 5), (3, 9), (3, 13), (5, 8)])

@@ -9,6 +9,7 @@ L_phi + S_g, and with none it gives L_phi.
 
 import pytest
 
+from bpcentre import op_calculus, truncation_centre
 from bpcentre.bp_hopf import EtaRTable
 from bpcentre.dvr_arith import (
     echelon_lattice,
@@ -17,6 +18,7 @@ from bpcentre.dvr_arith import (
     topological_generator,
 )
 from bpcentre.ktheory_lattice import sg_window
+from bpcentre.monomial_order import max_generator_index
 from bpcentre.op_calculus import action_matrix
 from bpcentre.truncation_centre import (
     block_split,
@@ -80,6 +82,22 @@ def test_phi_window_lattice_matches_monolithic(p, N, tables):
     for n in (1, 2, 3, 4) if p == 3 else (1, 2):
         assert phi_window_lattice(N, n, tables[p]) == \
             monolithic_window_lattice(N, n, tables[p], []), (p, N, n)
+
+
+@pytest.mark.parametrize("p, N", [(3, 0), (3, 5), (3, 13), (5, 8)])
+def test_phi_window_lattice_above_the_top_generator(p, N, tables, monkeypatch):
+    """Above h = max(1, max_generator_index(N)), L_phi is the memoized
+    height-h lattice itself, and equal to a fresh solve at that height."""
+    table = tables[p]
+    h = max(1, max_generator_index(N, p))
+    lattice = phi_window_lattice(N, h, table)
+    for n in (h + 1, h + 2):
+        assert phi_window_lattice(N, n, table) is lattice, n
+    # An empty memo, and no height above which the shortcut applies.
+    monkeypatch.setitem(op_calculus._PER_TABLE, table, {})
+    monkeypatch.setattr(truncation_centre, "max_generator_index", lambda N, p: h + 2)
+    for n in (h + 1, h + 2):
+        assert phi_window_lattice(N, n, table) == lattice, n
 
 
 def test_phi_windows_lie_in_sg_with_a_gap(table_p3):
