@@ -52,7 +52,6 @@ from .op_calculus import ConsistencyError, mu_matrix, realizations
 from .truncation_centre import block_split, centre_commutant
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
-# The check suites, in report order; suite NAME runs ``suite_NAME``.
 SUITES = ("etaR", "triangular", "realize", "centre", "congruence")
 
 
@@ -276,7 +275,9 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
         _check(checks, f"sg-closure/N={N}", False, str(exc))
     if N >= 1:
         smaller, _ = sg_window(p, N - 1, q=q, caps=config.caps, margin=config.margin)
-        nested = all(sg_membership(col[:N], smaller) is not None for col in sg.basis)
+        nested = all(
+            sg_membership(col[: N], smaller) is not None for col in sg.basis
+        )
         _check(checks, f"sg-nesting/N={N}->{N - 1}", nested,
                "projections of the basis belong to the smaller window")
     for n in config.heights:
@@ -295,8 +296,8 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 
 def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
-    # Each suite is looked up by its module name at call time, so a wrapper
-    # bound to that name (as bench/tracing.py binds one) is the one that runs.
+    # Suite NAME is the module's ``suite_NAME``, looked up at call time, so a
+    # wrapper bound to that name (as bench/tracing.py binds one) is what runs.
     names = SUITES if suite == "all" else (suite,)
     return [{"name": name, "checks": globals()[f"suite_{name}"](config, table)}
             for name in names]
@@ -307,8 +308,7 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
-    """The comparisons' keys, grouped over the heights: S_g's divisors once,
-    each inclusion as one flag for all heights, the rest by height."""
+    """The comparisons' keys over the heights: S_g once, inclusions as one flag."""
     sg = sg_window(config.p, config.N, q=config.q, caps=config.caps, margin=config.margin)
     sg_closure(sg)
     comparisons = [compare_with_diagonal_window(config.N, n, table, sg[0])

@@ -293,7 +293,8 @@ def lattice_membership(v, lattice: DvrLattice):
     """Coefficients of v over the echelon basis, or None when v is outside.
 
     A returned certificate re-multiplies to v exactly: each column has p^e at
-    its pivot row, so its coefficient is the residual's entry there over p^e.
+    its pivot row, so its coefficient is the residual's entry x there over
+    p^e, p-integral when p^e divides x's numerator and p not its denominator.
     """
     p = lattice.p
     residual = list(v)
@@ -301,15 +302,14 @@ def lattice_membership(v, lattice: DvrLattice):
         raise ValueError("vector rank does not match lattice ambient rank")
     coeffs = []
     for col, (row, e) in zip(lattice.basis, lattice.pivots):
-        k = Fraction(residual[row], p**e)
-        if k.denominator % p == 0:
+        x = residual[row]
+        k, rem = divmod(x.numerator, p**e)
+        if rem or x.denominator % p == 0:
             return None
-        k = k.numerator if k.denominator == 1 else k
+        k = k if x.denominator == 1 else Fraction(k, x.denominator)
         coeffs.append(k)
-        residual = [x - k * y for x, y in zip(residual, col)]
-    if any(residual):
-        return None
-    return tuple(coeffs)
+        residual = [y - k * c for y, c in zip(residual, col)]
+    return None if any(residual) else tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------

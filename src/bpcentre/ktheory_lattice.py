@@ -109,8 +109,10 @@ def sg_membership(w, lattice: DvrLattice):
     cert = lattice_membership(w, lattice)
     if cert is None:
         return None
-    rebuilt = tuple(sum(k * col[i] for k, col in zip(cert, lattice.basis)) for i in range(len(w)))
-    if rebuilt != w:
+    rebuilt = [0] * len(w)
+    for k, col in zip(cert, lattice.basis):
+        rebuilt = [x + k * y for x, y in zip(rebuilt, col)]
+    if tuple(rebuilt) != w:
         raise AssertionError("membership certificate failed re-expansion")
     return cert
 

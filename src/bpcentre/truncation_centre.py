@@ -125,8 +125,7 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
     the window.  L_phi, where all are integral, is the m-part of the kernel
     of [B^T | -p^top I], B the echelon of the forms times p^top and p^top I.
 
-    Weights up to N see only v_1..v_h, h = max(1, max_generator_index(N)), so
-    every height n > h returns the memoized lattice of height h.
+    Weights up to N see only v_1..v_h, h = max(1, max_generator_index(N)): n > h reuse h.
     """
     p = table.p
     top_height = max(1, max_generator_index(N, p))
