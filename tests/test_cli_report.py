@@ -129,6 +129,32 @@ def test_verify_triangular(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1)], ids=["diagonal", "above the diagonal"])
+def test_top_term_and_triangular_fail_on_a_perturbed_mu(i, j, monkeypatch):
+    from bpcentre import cli_report
+    from bpcentre.bp_hopf import EtaRTable
+
+    table = EtaRTable(3, 4).populate()
+    real = cli_report.mu_matrix
+
+    def perturbed(r, table):
+        basis, mu = real(r, table)
+        if r != 4:
+            return basis, mu
+        rows = [list(row) for row in mu]
+        rows[i][j] += 1
+        return basis, tuple(map(tuple, rows))
+
+    monkeypatch.setattr(cli_report, "mu_matrix", perturbed)
+    config = RunConfig(max_weight=4, heights=(1,))
+    checks = {c["id"]: c for suite in (cli_report.suite_etaR, cli_report.suite_triangular)
+              for c in suite(config, table)}
+    for r in range(5):
+        for family in ("top-term", "triangular"):
+            assert (checks[f"{family}/w={r}"]["status"] == "FAIL") == (r == 4), (family, r)
+    assert "; mu[" in checks["triangular/w=4"]["witness"]
+
+
 def test_verify_centre_json(tmp_path, capsys):
     argv = ["verify", "centre", "--p", "3", "--max-weight", "5",
             "--heights", "1,2", "--format", "json",

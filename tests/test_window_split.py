@@ -87,7 +87,7 @@ def test_phi_window_lattice_matches_monolithic(p, N, tables):
 @pytest.mark.parametrize("p, N", [(3, 0), (3, 5), (3, 13), (5, 8)])
 def test_phi_window_lattice_above_the_top_generator(p, N, tables, monkeypatch):
     """Above h = max(1, max_generator_index(N)), L_phi is the memoized
-    height-h lattice itself, and equal to a fresh solve at that height."""
+    height-h lattice itself, and equals a fresh solve at each such height."""
     table = tables[p]
     h = max(1, max_generator_index(N, p))
     lattice = phi_window_lattice(N, h, table)
