@@ -45,9 +45,6 @@ MONO_ONE: Mono = ((), ())
 
 CONVENTION = "hazewinkel"
 
-# Bytes of a cache file read at once while comparing it with the table.
-READ_CHUNK = 1 << 16
-
 
 class IntegralityError(ArithmeticError):
     """A right-unit coefficient that is not an integer (negative valuation or
@@ -78,10 +75,8 @@ class GradedPoly:
         clean: dict[Mono, int | Fraction] = {}
         w = None
         for key, coeff in terms.items():
-            if type(coeff) is not int:
-                coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
             if coeff == 0:
                 continue
             v, t = key
@@ -173,9 +168,9 @@ class GradedPoly:
             for ka, ca in a:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        unpack = _unpacker(width)
         low = (1 << shift) - 1
-        terms = {(unpack(k & low), unpack(k >> shift)): c for k, c in out.items() if c}
+        terms = {(_unpack(k & low, width), _unpack(k >> shift, width)): c
+                 for k, c in out.items() if c}
         return GradedPoly._trusted(self.p, terms, w if terms else None)
 
     __rmul__ = __mul__
@@ -239,8 +234,10 @@ def _layout(w: int, p: int) -> tuple[int, int]:
     return width, width * max_generator_index(w, p)
 
 
+@cache
 def _pack(exp: Exp, width: int) -> int:
-    """Exponent i of exp in bits [i*width, (i+1)*width) of one int."""
+    """Exponent i of exp in bits [i*width, (i+1)*width) of one int, memoized
+    for the process."""
     x = 0
     for e in reversed(exp):
         x = x << width | e
@@ -257,33 +254,18 @@ def _packed(terms: dict, width: int, shift: int) -> list[tuple[int, int | Fracti
     first, and within a part a longer normalized sequence fills a higher
     field, while sequences of one length compare from the highest index
     down (right-lexicographically)."""
-    seen: dict[Exp, int] = {}
-
-    def pack(exp: Exp) -> int:
-        x = seen.get(exp)
-        if x is None:
-            x = seen[exp] = _pack(exp, width)
-        return x
-
-    return [(pack(v) | pack(t) << shift, c) for (v, t), c in terms.items()]
+    return [(_pack(v, width) | _pack(t, width) << shift, c) for (v, t), c in terms.items()]
 
 
-def _unpacker(width: int):
-    """The normalised exponent sequence of a packed part, memoized per part."""
-    mask = (1 << width) - 1
-    seen: dict[int, Exp] = {}
-
-    def unpack(x: int) -> Exp:
-        exp = seen.get(x)
-        if exp is None:
-            key, parts = x, []
-            while x:
-                parts.append(x & mask)
-                x >>= width
-            exp = seen[key] = tuple(parts)
-        return exp
-
-    return unpack
+@cache
+def _unpack(x: int, width: int) -> Exp:
+    """The normalised exponent sequence that _pack(exp, width) packs into x,
+    memoized for the process, so equal sequences share one tuple."""
+    mask, parts = (1 << width) - 1, []
+    while x:
+        parts.append(x & mask)
+        x >>= width
+    return tuple(parts)
 
 
 def check_integrality(poly: GradedPoly):
@@ -497,7 +479,7 @@ class EtaRTable:
         digest = hashlib.sha256()
         with open(path, "rb") as fh:
             for part, data in self._pieces():
-                if not _next_bytes_are(fh, data):
+                if fh.read(len(data)) != data:
                     break
                 digest.update(data)
             else:
@@ -512,16 +494,6 @@ class EtaRTable:
         for _, data in self._pieces():
             digest.update(data)
         return digest.hexdigest()
-
-
-def _next_bytes_are(fh, data: bytes) -> bool:
-    """Whether the next len(data) bytes of the binary file fh are data,
-    read at most READ_CHUNK bytes at a time."""
-    for at in range(0, len(data), READ_CHUNK):
-        span = data[at:at + READ_CHUNK]
-        if fh.read(len(span)) != span:
-            return False
-    return True
 
 
 def _coefficient_error(gamma: Exp, what: str, offenders) -> IntegralityError:

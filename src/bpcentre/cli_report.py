@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigError("heights must be positive integers")
         if len(set(self.heights)) != len(self.heights):
             raise ConfigError(f"heights must not repeat, got {list(self.heights)}")
+        if not self.cache_dir:
+            raise ConfigError("--cache must name a directory, got ''")
         if self.format not in ("json", "csv", "markdown"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.margin < 1:

@@ -1,10 +1,11 @@
 """Exact arithmetic and linear algebra over the p-local integers.
 
-Scalars are ``int`` or ``fractions.Fraction`` values; an element is p-local
-(lies in Z_(p)) when its reduced denominator is prime to p.  All computations
-here are exact.  Lattices (finitely generated submodules of Z_(p)^m) are kept
-in a canonical column echelon form with pure p-power pivots, so that equality
-of lattices is literal equality of their forms.
+Scalars are ``int`` or ``fractions.Fraction`` values, never converted: a
+float or a string raises.  An element is p-local (lies in Z_(p)) when its
+reduced denominator is prime to p.  All computations here are exact.
+Lattices (finitely generated submodules of Z_(p)^m) are kept in a canonical
+column echelon form with pure p-power pivots, so that equality of lattices
+is literal equality of their forms.
 
 The lattice routines work on ``int`` columns: over Z_(p), scaling a vector by
 an integer prime to p does not change its span, so each p-integral input is
@@ -28,7 +29,7 @@ Matrix = tuple[Vector, ...]
 
 @lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not (is_odd_prime(p) or p == 2 and isinstance(p, int)):
         raise ValueError(f"{p} is not prime")
 
 
@@ -45,8 +46,6 @@ def valuation(x, p: int):
     always have valuation >= 0.
     """
     _check_prime(p)
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
     n, d = x.numerator, x.denominator
     if n == 0:
         return INFINITY
@@ -62,12 +61,11 @@ def valuation(x, p: int):
 
 def is_integral(x, p: int) -> bool:
     """Whether x lies in Z_(p) (denominator prime to p)."""
-    return Fraction(x).denominator % p != 0
+    return x.denominator % p != 0
 
 
 def reduce_mod_p_power(x, p: int, e: int) -> int:
     """Canonical integer representative in [0, p^e) of x in Z_(p)/p^e."""
-    x = Fraction(x)
     mod = p**e
     if mod == 1:
         return 0
@@ -165,11 +163,7 @@ def integer_scaling(entries) -> tuple[list[int], int]:
     denominator d of its entries; over Z_(p), v and d*v span the same line
     exactly when d is prime to p."""
     v = entries if isinstance(entries, (tuple, list)) else list(entries)
-    try:
-        d = math.lcm(*[x.denominator for x in v])
-    except AttributeError:  # entries that are neither int nor Fraction
-        v = [Fraction(x) for x in v]
-        d = math.lcm(*[x.denominator for x in v])
+    d = math.lcm(*[x.denominator for x in v])
     if d == 1:
         return [x.numerator for x in v], 1
     return [x.numerator * (d // x.denominator) for x in v], d

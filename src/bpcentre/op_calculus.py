@@ -98,7 +98,6 @@ def adams_sequence(p: int, k, N: int) -> Vector:
     operation is the identity in weight 0 and zero above.  The entries are
     ``int`` when k is an integer.
     """
-    k = Fraction(k)
     if not is_integral(k, p):
         raise ValueError(f"Adams parameter {k} is not p-local")
     if k.denominator == 1:

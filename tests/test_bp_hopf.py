@@ -385,8 +385,8 @@ def test_save_and_load_stream_the_document(tmp_path):
 
 
 def test_load_names_a_change_deep_in_a_large_entry(tmp_path):
-    """v^(0, 1, 2) takes 152 kB at p=3 W=30, so the cache is compared with
-    it in several bounded reads; a byte changed near its end is found."""
+    """v^(0, 1, 2) takes 152 kB at p=3 W=30; a byte changed near its end is
+    found."""
     table = EtaRTable(3, 30).populate()
     path = tmp_path / "cache.json"
     table.save(path)
@@ -401,6 +401,31 @@ def test_load_names_a_change_deep_in_a_large_entry(tmp_path):
     path.write_bytes(document)
     with pytest.raises(ValueError, match=re.escape(f"cache {path}: entry v^(0, 1, 2) differs")):
         EtaRTable(3, 30).load(path)
+
+
+def test_load_compares_the_largest_entry_past_64_kib(tmp_path):
+    """The largest piece at p=3 W=30 is v^(0, 1, 2), 152 kB, read in one go:
+    a byte flipped 64 KiB into it or the file cut inside it fails naming
+    it, and one byte appended fails naming the end of the document."""
+    table = EtaRTable(3, 30).populate()
+    path = tmp_path / "cache.json"
+    table.save(path)
+    document = path.read_bytes()
+    pieces = list(table._pieces())
+    i = max(range(len(pieces)), key=lambda i: len(pieces[i][1]))
+    part, data = pieces[i]
+    start = sum(len(d) for _, d in pieces[:i])
+    assert part == "entry v^(0, 1, 2)" and len(data) > 150_000
+    at = start + (1 << 16)
+    flipped = document[:at] + bytes([document[at] ^ 1]) + document[at + 1:]
+    for edited, named in ((flipped, part),
+                          (document[:start + len(data) - 1], part),
+                          (document + b" ", "the end of the document")):
+        path.write_bytes(edited)
+        with pytest.raises(ValueError, match=re.escape(f"cache {path}: {named} differs")):
+            EtaRTable(3, 30).load(path)
+    path.write_bytes(document)
+    assert table.load(path) == hashlib.sha256(document).hexdigest()
 
 
 # ---------------------------------------------------------------------------

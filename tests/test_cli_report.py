@@ -247,6 +247,22 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envcache" / "etaR_p3_hazewinkel_w3.json").exists()
 
 
+def test_empty_cache_dir_is_usage_error(tmp_path, capsys, monkeypatch):
+    """``--cache ""`` names no directory: a usage error naming --cache, not
+    a failed run; an empty BPCENTRE_CACHE falls back to the default."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["eta-table", "--max-weight", "2", "--cache", ""])
+    assert exc.value.code == 2
+    assert "--cache must name a directory" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="--cache"):
+        RunConfig(cache_dir="")
+    monkeypatch.setenv("BPCENTRE_CACHE", "")
+    code, _ = run_cli(capsys, ["eta-table", "--max-weight", "2"])
+    assert code == 0
+    assert (tmp_path / ".bpcentre-cache" / "etaR_p3_hazewinkel_w2.json").exists()
+
+
 def test_corrupt_cache_fails_closed(tmp_path, capsys):
     from bpcentre.bp_hopf import EtaRTable
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bpcentre import dvr_arith
+from bpcentre.bp_hopf import GradedPoly
 from bpcentre.dvr_arith import (
     INFINITY,
     commutant,
@@ -19,6 +20,7 @@ from bpcentre.dvr_arith import (
     topological_generator,
     valuation,
 )
+from bpcentre.op_calculus import adams_sequence
 
 
 def test_valuation_examples():
@@ -29,12 +31,32 @@ def test_valuation_examples():
 
 
 def test_valuation_input_types_and_non_prime():
-    for x, v in [(-54, 3), (-1, 0), (-(3**40) * 7, 40), (True, 0), ("5/9", -2), (0.5, 0), (Fraction(0), INFINITY)]:
+    for x, v in [(-54, 3), (-1, 0), (-(3**40) * 7, 40), (True, 0), (Fraction(5, 9), -2), (Fraction(0), INFINITY)]:
         assert valuation(x, 3) == v, x
+    for x in ("5/9", 0.5):  # neither int nor Fraction: rejected, not converted
+        with pytest.raises(AttributeError):
+            valuation(x, 3)
+    assert valuation(4, 2) == 2
     for _ in range(2):  # a rejected prime is rejected again, not remembered
-        for p in (1, 4, 9):
+        for p in (1, 4, 9, 3.0, 2.0):  # 3.0 and 2.0 after 3 and 2 were accepted
             with pytest.raises(ValueError, match="not prime"):
                 valuation(3, p)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: valuation(0.1, 5),  # the float 0.1 is not 1/10
+    lambda: valuation("1/10", 5),
+    lambda: is_integral(0.2, 5),
+    lambda: echelon_lattice(5, [(0.2, 1)], 2),
+    lambda: adams_sequence(5, 0.2, 3),
+    lambda: GradedPoly(3, {((1,), ()): 0.5}),
+], ids=["valuation-float", "valuation-str", "is_integral", "echelon_lattice",
+        "adams_sequence", "GradedPoly"])
+def test_scalars_other_than_int_and_fraction_raise(call):
+    """A float is never replaced by the binary fraction it stores, nor a
+    string parsed: anything but int or Fraction raises."""
+    with pytest.raises(AttributeError):
+        call()
 
 
 def test_valuation_ultrametric():
