@@ -5,7 +5,7 @@ monomials on the first n generators and the block J of monomials divisible
 by a higher generator; every R monomial precedes every J monomial in the
 right-lex order.  A realized elementary operation vanishes on all of J, so
 its restriction to R is the honest action on the truncated theory, and the
-commutant of the adjacent E_(a, a+1), E_(a+1, a) is the desk-scale centre.
+commutant of the two weighted shifts they sum to is the desk-scale centre.
 
 The window lattice collects, for all weights up to a bound simultaneously,
 the scalar sequences realizable by integral combinations of the generating
@@ -75,30 +75,28 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Matri
     r_basis = block_split(r, n, table.p).r_basis
     if alpha not in r_basis or beta not in r_basis:
         raise ValueError(f"{alpha} and {beta} must avoid the height-{n} ideal")
-    return _elementary(r, r_basis, r_basis.index(alpha), r_basis.index(beta), table)
-
-
-def _elementary(r: int, r_basis, a: int, b: int, table: EtaRTable) -> Matrix:
-    """mu_bar * E_(a, b) on the weight-r R basis, for basis indices a and b."""
-    mu_bar = realizations(r, table)[r_basis[b]][0]
+    a, b = r_basis.index(alpha), r_basis.index(beta)
+    mu_bar = realizations(r, table)[beta][0]
     size = range(len(r_basis))
-    return tuple(tuple(mu_bar if (i, j) == (a, b) else 0 for j in size)
-                 for i in size)
+    return tuple(tuple(mu_bar if (i, j) == (a, b) else 0 for j in size) for i in size)
 
 
 def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None = None):
     """Commutant of the realized elementary family on the R block.
 
-    Returns (rank, basis matrices).  Products of the adjacent mu_bar*E_(a, a+1)
-    and mu_bar*E_(a+1, a) are nonzero multiples of every R-block E_(a, b), so
-    their commutant is the whole family's: the scalars, rank 1 for a non-empty
-    block.  Only they go to :func:`commutant`; a precomputed ``split`` is used.
+    Returns (rank, basis matrices).  :func:`commutant` gets only the weighted
+    shifts U = sum_a mu_bar_(a+1) E_(a, a+1) and D = sum_a mu_bar_a E_(a+1, a),
+    mu_bar_b the realized scalar of R column b.  X commuting with U keeps
+    ker U = Q e_0, and e_(a+1) = D e_a / mu_bar_a, so X commuting with D too is
+    c I: the whole family's commutant, the scalars.  ``split`` is used if given.
     """
     r_basis = (split or block_split(r, n, table.p)).r_basis
-    realizations(r, table)  # every column solved and verified, also when |R| = 1
+    realized = realizations(r, table)  # every column solved and verified, J included
+    mu_bar = [realized[beta][0] for beta in r_basis]
     size = range(len(r_basis))
-    mats = [_elementary(r, r_basis, a, b, table) for a in size for b in size if abs(a - b) == 1]
-    basis = commutant(mats, len(r_basis), table.p)
+    up = tuple(tuple(mu_bar[j] if j == i + 1 else 0 for j in size) for i in size)
+    down = tuple(tuple(mu_bar[j] if i == j + 1 else 0 for j in size) for i in size)
+    basis = commutant([up, down], len(r_basis), table.p)
     return len(basis), basis
 
 

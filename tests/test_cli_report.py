@@ -638,6 +638,34 @@ def test_bad_realization_fails_centre(tmp_path, capsys, monkeypatch):
             assert "realized combination" in check["witness"]
 
 
+def test_a_vanishing_weight_fails_centre(tmp_path, capsys, monkeypatch):
+    # mu_bar of (4, 1), the middle of the height-2 R block v_1^8, v_1^4 v_2,
+    # v_2^2 of weight 8, set to 0: the shifts no longer reach past it.
+    from bpcentre import truncation_centre
+
+    real = truncation_centre.realizations
+
+    def vanishing(r, table):
+        realized = real(r, table)
+        if r != 8:
+            return realized
+        return {**realized, (4, 1): (0, realized[(4, 1)][1])}
+
+    monkeypatch.setattr(truncation_centre, "realizations", vanishing)
+    argv = ["verify", "centre", "--p", "3", "--max-weight", "8", "--heights", "2",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    assert checks["block-order/n=2/w=8"]["witness"] == "|R|=3 |J|=0"
+    failed = checks.pop("centre/n=2/w=8")
+    assert failed["status"] == "FAIL"
+    rank = int(re.fullmatch(r"commutant rank=(\d+) scalar=(True|False)", failed["witness"])[1])
+    assert rank >= 2
+    assert len(checks) == 2 * 9 - 1
+    assert all(c["status"] == "PASS" for c in checks.values()), checks
+
+
 def test_bad_realization_fails_realize(tmp_path, capsys, monkeypatch):
     perturb_column_solves(monkeypatch)
     argv = ["verify", "realize", "--p", "3", "--max-weight", "4",
@@ -709,24 +737,40 @@ def test_triangular_fact_is_scanned_once_per_monomial(tmp_path, capsys, monkeypa
     assert len(scanned) == 15
 
 
-def test_centre_commutant_gets_the_adjacent_elementaries(tmp_path, capsys, monkeypatch):
+def test_centre_commutant_gets_the_two_weighted_shifts(tmp_path, capsys, monkeypatch):
     from bpcentre import truncation_centre
+    from bpcentre.bp_hopf import EtaRTable
+    from bpcentre.op_calculus import realizations
 
     real = truncation_centre.commutant
     families = []
 
-    def counted(mats, size, p):
-        families.append((len(mats), size))
+    def recorded(mats, size, p):
+        families.append(mats)
         return real(mats, size, p)
 
-    monkeypatch.setattr(truncation_centre, "commutant", counted)
+    monkeypatch.setattr(truncation_centre, "commutant", recorded)
     argv = ["verify", "centre", "--p", "3", "--max-weight", "8", "--heights", "1,2,3",
             "--format", "json", "--cache", str(tmp_path / "cache")]
     assert run_cli(capsys, argv)[0] == 0
-    assert len(families) == 9 * 3
-    assert max(size for _, size in families) >= 3
-    # E_(a, a+1) and E_(a+1, a) for a + 1 < |R|: 2(|R| - 1) matrices per weight.
-    assert all(count == 2 * (size - 1) for count, size in families), families
+    # suite_centre runs weights 0..8 at each height in turn.
+    calls = [(r, n) for n in (1, 2, 3) for r in range(9)]
+    assert len(families) == len(calls)
+    table = EtaRTable(3, 8).populate()
+    sizes = set()
+    for (r, n), mats in zip(calls, families):
+        r_basis = truncation_centre.block_split(r, n, 3).r_basis
+        mu_bar = [realizations(r, table)[beta][0] for beta in r_basis]
+        size = len(r_basis)
+        sizes.add(size)
+        # U = sum_a mu_bar_(a+1) E_(a, a+1) and D = sum_a mu_bar_a E_(a+1, a).
+        up = [[0] * size for _ in range(size)]
+        down = [[0] * size for _ in range(size)]
+        for a in range(size - 1):
+            up[a][a + 1] = mu_bar[a + 1]
+            down[a + 1][a] = mu_bar[a]
+        assert [[list(row) for row in m] for m in mats] == [up, down], (r, n)
+    assert 1 in sizes and max(sizes) >= 3
 
 
 def test_centre_commutant_gets_int_matrices(tmp_path, capsys, monkeypatch):

@@ -131,7 +131,7 @@ def test_centre_systems_match_oracle(n, table_p3):
             for vec in expected
         ]
         assert commutant(mats, size, 3) == reshaped, (n, r)
-        # The adjacent elementaries alone give the full family's commutant.
+        # The two weighted shifts alone give the full family's commutant.
         assert centre_commutant(r, n, table_p3)[1] == reshaped, (n, r)
 
 

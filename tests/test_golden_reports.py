@@ -1,8 +1,8 @@
-"""Report bytes are pinned for nine configurations: verify all, lattices
+"""Report bytes are pinned for eleven configurations: verify all, lattices
 and eta-table in every format, the deeper p=3 lattices run (the benchmark's
 lattices-deep) in every format, the stress lattices run (window N=13,
-entries past 500 bits), the centre suite in json, and the benchmark's
-verify-warm and eta-table configurations in every format.
+entries past 500 bits), the centre suite at p=3, 5 and 7 in json, and the
+benchmark's verify-warm and eta-table configurations in every format.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -39,6 +39,11 @@ CONFIGS = {
     # W=13 is the first weight with v_3; at height 3 the whole basis is R.
     "centre_p3_w13": ["verify", "centre", "--p", "3", "--max-weight", "13",
                       "--heights", "1,2,3"],
+    # R blocks up to size 7 at p=5, and the centre at p=7.
+    "centre_p5_w31": ["verify", "centre", "--p", "5", "--max-weight", "31",
+                      "--heights", "1,2,3"],
+    "centre_p7_w20": ["verify", "centre", "--p", "7", "--max-weight", "20",
+                      "--heights", "1,2"],
     # The benchmark's verify-warm and eta-table configurations.
     "verify_p3_w16": ["verify", "all", "--p", "3", "--max-weight", "16", "--N", "5",
                       "--heights", "1,2,3"],
@@ -50,7 +55,8 @@ CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14"
                                   "verify_p3_w16", "lattices_p3_w13", "eta_p3_w20",
                                   "eta_p5_w31")
          for fmt in FORMATS]
-CASES += [("lattices_p3_w16_n13", "json"), ("centre_p3_w13", "json")]
+CASES += [(name, "json") for name in ("lattices_p3_w16_n13", "centre_p3_w13",
+                                      "centre_p5_w31", "centre_p7_w20")]
 
 
 # How each format prints the cache status, as written by a cold run.

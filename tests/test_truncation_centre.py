@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from bpcentre.dvr_arith import lattice_membership, mat_mul, scalar_value
+from bpcentre.bp_hopf import EtaRTable
+from bpcentre.dvr_arith import commutant, lattice_membership, mat_mul, scalar_value
 from bpcentre.ktheory_lattice import sg_window
 from bpcentre.op_calculus import ConsistencyError
 from bpcentre.truncation_centre import (
@@ -71,6 +72,20 @@ def test_centre_commutant_rank_one(r, n, table_p3):
     size = len(m)
     assert all(m[i][j] == (c if i == j else 0)
                for i in range(size) for j in range(size))
+
+
+@pytest.mark.parametrize("p,max_weight,heights", [(3, 16, (1, 2, 3, 4)), (5, 20, (1, 2, 3)),
+                                                  (7, 20, (1, 2))])
+def test_centre_is_the_commutant_of_the_full_family(p, max_weight, heights):
+    """The two weighted shifts have the commutant of every mu_bar * E_(alpha, beta)."""
+    table = EtaRTable(p, max_weight).populate()
+    for n in heights:
+        for r in range(max_weight + 1):
+            r_basis = block_split(r, n, p).r_basis
+            family = [projected_elementary(alpha, beta, r, n, table)
+                      for alpha in r_basis for beta in r_basis]
+            expected = commutant(family, len(r_basis), p)
+            assert centre_commutant(r, n, table)[1] == expected, (p, n, r)
 
 
 def test_diagonal_window_lattice_n0_full(table_p3):
