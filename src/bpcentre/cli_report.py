@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .bp_hopf import (
     EtaRTable,
@@ -59,21 +59,15 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(namedtuple(
+        "RunConfig", "p max_weight heights N q cache_dir format caps margin",
+        defaults=(3, 13, (1, 2), None, None, ".bpcentre-cache", "markdown", None, 4))):
     """One run's settings, named as the report's config keys and the options' dests."""
 
-    p: int = 3
-    max_weight: int = 13
-    heights: tuple[int, ...] = (1, 2)
-    N: int | None = None
-    q: int | None = None
-    cache_dir: str = ".bpcentre-cache"
-    format: str = "markdown"
-    caps: tuple[int, ...] | None = None
-    margin: int = 4
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_odd_prime(self.p):
             raise ConfigError(f"p must be an odd prime, got {self.p}")
         if self.q is not None and not generates_units_mod_p2(self.q, self.p):
@@ -95,12 +89,10 @@ class RunConfig:
         if self.caps is not None and (len(self.caps) != 2 or min(self.caps) < 0):
             raise ConfigError(f"caps must be two non-negative integers M,S, got {list(self.caps)}")
         # Resolve the defaults once; every consumer reads the resolved values.
-        if self.N is None:
-            object.__setattr__(self, "N", min(5, self.max_weight))
-        if self.q is None:
-            object.__setattr__(self, "q", topological_generator(self.p))
-        if self.caps is None:
-            object.__setattr__(self, "caps", default_caps(self.N))
+        N = min(5, self.max_weight) if self.N is None else self.N
+        return self._replace(
+            N=N, q=topological_generator(self.p) if self.q is None else self.q,
+            caps=default_caps(N) if self.caps is None else self.caps)
 
     def cache_path(self) -> str:
         name = f"etaR_p{self.p}_hazewinkel_w{self.max_weight}.json"
@@ -320,7 +312,7 @@ def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
         values = [c[key] for c in comparisons]
         report[key] = (values[0] if key == "sg" else all(values) if key.endswith("inclusion")
                        else dict(zip(map(str, config.heights), values)))
-    report["stabilization"] = asdict(sg[1])
+    report["stabilization"] = sg[1]._asdict()
     return report
 
 
@@ -453,7 +445,7 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
     except (ValueError, OSError) as exc:
         sys.stdout.write(f"FAIL cache: {exc}\n")
         return 1
-    report = {"config": asdict(config), "cache": cache, "suites": [],
+    report = {"config": config._asdict(), "cache": cache, "suites": [],
               "lattices": None}
     if command == "eta-table":
         report.update(eta_sections(config, table))
@@ -494,7 +486,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int, default=None,
                         help="override the topological generator")
     parser.add_argument("--cache", type=str, dest="cache_dir",
-                        default=os.environ.get(CACHE_ENV_VAR) or RunConfig.cache_dir,
+                        default=(os.environ.get(CACHE_ENV_VAR)
+                                 or RunConfig._field_defaults["cache_dir"]),
                         help=f"cache directory (or ${CACHE_ENV_VAR})")
     parser.add_argument("--format", type=str, default="markdown",
                         choices=("json", "csv", "markdown"))

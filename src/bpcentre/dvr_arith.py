@@ -16,7 +16,7 @@ integers instead of dividing (fraction-free, as in Bareiss's elimination).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -130,20 +130,18 @@ def scalar_value(m: Matrix):
 # lattices in canonical echelon form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DvrLattice:
+class DvrLattice(namedtuple("DvrLattice", "p ambient_rank basis pivots")):
     """A finitely generated submodule of Z_(p)^m in canonical echelon form.
 
     ``basis`` holds the columns; column j is zero above its pivot row,
     carries exactly p^e at the pivot, and pivot-row entries of earlier
-    columns are reduced to their canonical representative mod p^e.  Two
-    lattices are equal iff their forms compare equal.
+    columns are reduced to their canonical representative mod p^e.
+    ``pivots`` holds the (pivot row, p-exponent) of each column.  Two
+    lattices are equal iff their forms compare equal; as a named tuple, a
+    lattice also equals the plain tuple of its fields.
     """
 
-    p: int
-    ambient_rank: int
-    basis: tuple[Vector, ...]
-    pivots: tuple[tuple[int, int], ...]  # (pivot row, p-exponent) per column
+    __slots__ = ()
 
     @property
     def rank(self) -> int:

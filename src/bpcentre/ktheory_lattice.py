@@ -15,7 +15,7 @@ raises, never silently truncates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -41,16 +41,11 @@ def default_caps(N: int) -> tuple[int, int]:
     return N + 8, 3
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
+class StabilizationCertificate(namedtuple(
+        "StabilizationCertificate", "q m_cap s_cap margin last_changed_a stopped_at_a")):
     """Record of how the Adams span stabilized."""
 
-    q: int
-    m_cap: int
-    s_cap: int
-    margin: int
-    last_changed_a: int
-    stopped_at_a: int
+    __slots__ = ()
 
 
 def sg_window(

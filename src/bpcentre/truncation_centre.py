@@ -19,7 +19,7 @@ span S_g of the Adams windows, which ``ktheory_lattice`` builds and certifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .bp_hopf import EtaRTable
 from .dvr_arith import (
@@ -36,13 +36,10 @@ from .monomial_order import (Exp, add, enumerate_weight, in_ideal, max_generator
 from .op_calculus import ConsistencyError, adams_sequence, per_table, realizations
 
 
-@dataclass(frozen=True)
-class BlockSplit:
+class BlockSplit(namedtuple("BlockSplit", "basis r_indices j_indices")):
     """Positions in a weight-r basis of the R and J blocks at height n."""
 
-    basis: tuple[Exp, ...]
-    r_indices: tuple[int, ...]
-    j_indices: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def r_basis(self) -> tuple[Exp, ...]:

@@ -1,16 +1,19 @@
-import dataclasses
 import json
 import os
 import re
 
 import pytest
 
+from bpcentre.bp_hopf import EtaRTable
 from bpcentre.cli_report import (
     ConfigError,
     RunConfig,
+    lattice_report,
     main,
     render_report,
 )
+from bpcentre.ktheory_lattice import sg_window
+from bpcentre.truncation_centre import block_split
 
 
 def run_cli(capsys, argv):
@@ -108,7 +111,7 @@ def test_json_config_keys_are_the_run_config_fields(tmp_path, capsys):
     code, out = run_cli(capsys, ["verify", "triangular", "--max-weight", "2",
                                  "--format", "json", "--cache", str(tmp_path / "cache")])
     assert code == 0
-    assert list(json.loads(out)["config"]) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert list(json.loads(out)["config"]) == list(RunConfig._fields)
 
 
 def test_verify_suite_choices(capsys):
@@ -458,6 +461,43 @@ def test_run_config_window_defaults():
     assert RunConfig(max_weight=13).N == 5
     assert RunConfig(max_weight=13, N=0).N == 0
     assert RunConfig(max_weight=3).caps == (11, 3)
+    assert RunConfig(max_weight=3).q == 2
+
+
+def test_run_config_checks_positional_and_keyword_arguments():
+    with pytest.raises(ConfigError, match="odd prime"):
+        RunConfig(2)
+    with pytest.raises(ConfigError, match="odd prime"):
+        RunConfig(p=2)
+    with pytest.raises(ConfigError, match="max-weight"):
+        RunConfig(3, 0)
+    with pytest.raises(ConfigError, match="margin"):
+        RunConfig(3, 13, (1, 2), None, None, "c", "json", None, 0)
+    with pytest.raises(ConfigError, match="margin"):
+        RunConfig(margin=0)
+    assert RunConfig(5, 7, (1,)) == RunConfig(p=5, max_weight=7, heights=(1,))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: RunConfig(max_weight=3), "N"),
+    (lambda: block_split(4, 1, 3), "basis"),
+    (lambda: sg_window(3, 3)[1], "q"),
+], ids=["RunConfig", "BlockSplit", "StabilizationCertificate"])
+def test_records_are_frozen_values(make, field):
+    record, twin = make(), make()
+    assert record is not twin
+    assert record == twin and hash(record) == hash(twin)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_stabilization_keys_keep_their_order():
+    config = RunConfig(max_weight=4, N=4, heights=(1,))
+    report = lattice_report(config, EtaRTable(3, 4).populate())
+    assert list(report["stabilization"]) == [
+        "q", "m_cap", "s_cap", "margin", "last_changed_a", "stopped_at_a"]
 
 
 def test_render_report_covers_lattices():

@@ -23,6 +23,18 @@ from bpcentre.dvr_arith import (
 from bpcentre.op_calculus import adams_sequence
 
 
+def test_lattice_is_a_frozen_value():
+    lattice = echelon_lattice(3, [(1, 3), (0, 9)], 2)
+    twin = echelon_lattice(3, [(1, 3), (0, 9)], 2)
+    assert lattice is not twin
+    assert lattice == twin and hash(lattice) == hash(twin)
+    assert lattice != echelon_lattice(3, [(1, 3)], 2)
+    with pytest.raises(AttributeError):
+        lattice.basis = ()
+    with pytest.raises(AttributeError):
+        lattice.extra = 1
+
+
 def test_valuation_examples():
     assert valuation(1, 3) == 0
     assert valuation(Fraction(18, 7), 3) == 2
