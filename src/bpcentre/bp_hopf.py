@@ -6,11 +6,11 @@ the recursion p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i} (m_0 = 1).  Co-operations
 live in Z_(p)[v][t], and the right unit is the ring map determined on the
 rational generators by eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i} with t_0 = 1.
 Monomials are (v, t) pairs: the m_k, whose coefficients have p-power
-denominators, appear only inside the recursion for eta_R(v_k).  A value of
-eta_R is p-integral and can have no denominator but a power of p, so its
-coefficients are integers: the table stores them as ``int`` and refuses a
-value with any other denominator than 1, and composite values are products
-of integer polynomials.
+denominators, enter the recursion for eta_R(v_k) only as the integer
+polynomials p^k m_k, and the p^k eta_R(v_k) it yields is divided by p^k
+exactly.  A value of eta_R is p-integral, so its coefficients are integers:
+a remainder is refused, the table stores ``int`` coefficients only, and
+composite values are products of integer polynomials.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
 serializes to a deterministic JSON document, one entry at a time, so writing,
@@ -47,8 +47,8 @@ CONVENTION = "hazewinkel"
 
 
 class IntegralityError(ArithmeticError):
-    """A right-unit coefficient that is not an integer (negative valuation or
-    another denominator); the message names the entry and its offenders."""
+    """A right-unit coefficient that is not an integer (p^k eta_R(v_k) not divisible
+    by p^k, or not an ``int``); the message names the entry and its offenders."""
 
 
 def mono_weight(key: Mono, p: int) -> int:
@@ -284,9 +284,8 @@ def check_integrality(poly: GradedPoly):
 
 @lru_cache(maxsize=None)
 def hazewinkel_m(p: int, k: int) -> GradedPoly:
-    """The rational generator m_k as a polynomial in v_1, ..., v_k.
-
-    m_0 = 1 and p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}.
+    """p^k m_k, an integer polynomial in v_1, ..., v_k, for the rational
+    generator m_k: m_0 = 1 and p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
@@ -295,14 +294,14 @@ def hazewinkel_m(p: int, k: int) -> GradedPoly:
     if k == 0:
         return GradedPoly.const(p, 1)
     return GradedPoly.sum(p, (
-        hazewinkel_m(p, i) * GradedPoly.v_mono(p, unit_exp(k - i)) ** (p**i)
+        hazewinkel_m(p, i) * p ** (k - 1 - i) * GradedPoly.v_mono(p, unit_exp(k - i)) ** (p**i)
         for i in range(k)
-    )) * Fraction(1, p)
+    ))
 
 
 def substitute_m(p: int, groups: dict[int, GradedPoly]) -> GradedPoly:
-    """sum_a m_a * groups[a], each m_a written as its v-polynomial: one
-    product per generator."""
+    """sum_a p^a m_a * groups[a], each p^a m_a written as its integer
+    v-polynomial: one product per generator."""
     return GradedPoly.sum(p, (hazewinkel_m(p, a) * poly for a, poly in groups.items()))
 
 
@@ -327,38 +326,37 @@ class EtaRTable:
     # -- construction ---------------------------------------------------
 
     def _store(self, gamma: Exp, poly: GradedPoly) -> GradedPoly:
-        """Keep eta_R(v^gamma) with ``int`` coefficients, after checking that
-        it is p-integral, of the weight of gamma, and integer."""
-        ok, offenders = check_integrality(poly)
-        if not ok:
-            raise _coefficient_error(gamma, "non-integral", offenders)
+        """Keep eta_R(v^gamma), after checking that it is of the weight of
+        gamma and that its coefficients are ``int``."""
         if not poly.is_zero() and poly.weight != weight(gamma, self.p):
             raise IntegralityError(
                 f"eta_R(v^{gamma}) is not homogeneous of weight {weight(gamma, self.p)}"
             )
         if not all(type(c) is int for c in poly.terms.values()):
-            fractional = sorted(((key, c) for key, c in poly.terms.items() if c.denominator != 1),
-                                key=lambda kv: mono_sort_key(kv[0]))
-            if fractional:
-                raise _coefficient_error(gamma, "non-integer", fractional)
-            poly = GradedPoly._trusted(
-                self.p, {key: c.numerator for key, c in poly.terms.items()}, poly.weight)
+            raise _coefficient_error(gamma, "non-integer", [
+                (key, c) for key, c in poly.terms.items() if type(c) is not int])
         self._cache[gamma] = poly
         return poly
 
     def _eta_generator(self, k: int) -> GradedPoly:
         # eta_R(v_k) = p*eta_R(m_k) - sum_{0<i<k} eta_R(m_i) eta_R(v_{k-i})^{p^i}
-        # with eta_R(m_i) = sum_{a+j=i} m_a t_j^{p^a}; the t-parts go to groups[a].
+        # with eta_R(m_i) = sum_{a+j=i} m_a t_j^{p^a}; the t-parts, times p^(k-a),
+        # go to groups[a], whose sum against the p^a m_a is p^k eta_R(v_k).
         p = self.p
         powers = {i: self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)}
 
         def t_power(j, a, c):  # c * t_j^{p^a}, with t_0 = 1
             return GradedPoly(p, {((), (0,) * (j - 1) + (p**a,) if j else ()): c})
 
-        groups = {a: GradedPoly.sum(p, [t_power(k - a, a, p)] + [
-            t_power(i - a, a, -1) * powers[i] for i in range(max(a, 1), k)
+        groups = {a: GradedPoly.sum(p, [t_power(k - a, a, p ** (k - a + 1))] + [
+            t_power(i - a, a, -p ** (k - a)) * powers[i] for i in range(max(a, 1), k)
         ]) for a in range(k + 1)}
-        return substitute_m(p, groups)
+        scaled, q = substitute_m(p, groups), p**k
+        offenders = [(key, Fraction(c, q)) for key, c in scaled.terms.items() if c % q]
+        if offenders:
+            raise _coefficient_error(unit_exp(k), "non-integral", offenders)
+        quotient = {key: c // q for key, c in scaled.terms.items()}
+        return GradedPoly._trusted(p, quotient, scaled.weight)
 
     def eta(self, gamma) -> GradedPoly:
         """eta_R(v^gamma), computed multiplicatively and memoized."""
@@ -497,6 +495,7 @@ class EtaRTable:
 
 
 def _coefficient_error(gamma: Exp, what: str, offenders) -> IntegralityError:
+    offenders = sorted(offenders, key=lambda kv: mono_sort_key(kv[0]))
     worst = ", ".join(f"{key} -> {c}" for key, c in offenders[:3])
     return IntegralityError(f"eta_R(v^{gamma}) has {what} coefficients: {worst}")
 

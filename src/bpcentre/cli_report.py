@@ -25,6 +25,7 @@ import sys
 from collections import namedtuple
 
 from .bp_hopf import (
+    CONVENTION,
     EtaRTable,
     GradedPoly,
     IntegralityError,
@@ -95,7 +96,7 @@ class RunConfig(namedtuple(
             caps=default_caps(N) if self.caps is None else self.caps)
 
     def cache_path(self) -> str:
-        name = f"etaR_p{self.p}_hazewinkel_w{self.max_weight}.json"
+        name = f"etaR_p{self.p}_{CONVENTION}_w{self.max_weight}.json"
         return os.path.join(self.cache_dir, name)
 
 
@@ -476,24 +477,22 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, default=3, help="odd prime (default 3)")
-    parser.add_argument("--max-weight", type=int, default=13,
+    parser.add_argument("--p", type=int, help="odd prime (default 3)")
+    parser.add_argument("--max-weight", type=int,
                         help="weight bound for the right-unit table")
-    parser.add_argument("--heights", type=_ints, default="1,2",
+    parser.add_argument("--heights", type=_ints,
                         help="comma-separated truncation heights")
-    parser.add_argument("--N", type=int, default=None,
+    parser.add_argument("--N", type=int,
                         help="window bound for the lattices (default min(5, max-weight))")
-    parser.add_argument("--q", type=int, default=None,
-                        help="override the topological generator")
+    parser.add_argument("--q", type=int, help="override the topological generator")
     parser.add_argument("--cache", type=str, dest="cache_dir",
                         default=(os.environ.get(CACHE_ENV_VAR)
                                  or RunConfig._field_defaults["cache_dir"]),
                         help=f"cache directory (or ${CACHE_ENV_VAR})")
-    parser.add_argument("--format", type=str, default="markdown",
-                        choices=("json", "csv", "markdown"))
-    parser.add_argument("--caps", type=_ints, default=None,
+    parser.add_argument("--format", type=str, choices=("json", "csv", "markdown"))
+    parser.add_argument("--caps", type=_ints,
                         help="generator caps as M,S for the Adams span")
-    parser.add_argument("--margin", type=int, default=4,
+    parser.add_argument("--margin", type=int,
                         help="stabilization margin for the Adams span")
 
 
@@ -505,15 +504,14 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eta = sub.add_parser("eta-table", help="build and persist the right-unit cache")
-    _add_common(p_eta)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=(*SUITES, "all"))
-    _add_common(p_verify)
-
-    p_lat = sub.add_parser("lattices", help="compute and compare window lattices")
-    _add_common(p_lat)
+    for name, text in (("eta-table", "build and persist the right-unit cache"),
+                       ("verify", "run a verification suite"),
+                       ("lattices", "compute and compare window lattices")):
+        # An option not given stays out of the namespace: RunConfig's default applies.
+        child = sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
+        if name == "verify":
+            child.add_argument("suite", choices=(*SUITES, "all"))
+        _add_common(child)
 
     options = vars(parser.parse_args(argv))
     command, suite = options.pop("command"), options.pop("suite", "all")

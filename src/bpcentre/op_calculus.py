@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import weakref
-from fractions import Fraction
 from types import MappingProxyType
 
 from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
@@ -115,17 +114,20 @@ def adams_matrix(p: int, k, r: int) -> Matrix:
 def solve_column(basis, mu, b: int, p: int):
     """(mu_bar, coefficients) with sum_gamma coefficients[gamma] * mu[j][gamma]
     = mu_bar * e_b: forward substitution of mu . x = e_b (mu[i][j] = 0 for
-    i < j), scaled by the least p-power mu_bar that makes x p-integral."""
-    x: list[Fraction] = []
+    i < j), scaled by the least p-power mu_bar that makes x p-integral.
+    It runs on the integers X = p^E x, E the sum of the diagonal's valuations,
+    and each division is exact when the diagonal holds p-powers; otherwise the
+    column comes out wrong and the row check of :func:`realizations` fails."""
     for i, row in enumerate(mu):
         if row[i] == 0:
             raise ConsistencyError(f"vanishing diagonal mu at {basis[i]}")
-        rhs = Fraction(1 if i == b else 0)  # x holds x_0 .. x_(i-1)
-        x.append((rhs - sum((c * y for c, y in zip(row, x)), Fraction(0))) / row[i])
-
-    s = -min(valuation(c, p) for c in x if c != 0)
-    scale = p ** s
-    return scale, {basis[j]: scale * x[j] for j in range(len(basis)) if x[j] != 0}
+    top = p ** sum(valuation(row[i], p) for i, row in enumerate(mu))
+    x: list[int] = []  # X_0 .. X_(i-1) while row i is solved
+    for i, row in enumerate(mu):
+        x.append(((top if i == b else 0) - sum(c * y for c, y in zip(row, x))) // row[i])
+    # default=0: a diagonal that holds no p-power can floor every X_i to 0.
+    scale = p ** min((valuation(c, p) for c in x if c != 0), default=0)
+    return top // scale, {basis[j]: c // scale for j, c in enumerate(x) if c != 0}
 
 
 @per_table
@@ -135,8 +137,8 @@ def realizations(r: int, table: EtaRTable):
 
     sum_gamma c_gamma * M(alpha, gamma) vanishes outside row alpha, where
     its entry in column j is sum_gamma c_gamma * mu[j][gamma] for every
-    alpha.  That row must be mu_bar * e_beta, mu_bar non-zero and every c an
-    integer, else ConsistencyError; then it is mu_bar * E_(alpha, beta).
+    alpha.  That row must be mu_bar * e_beta, mu_bar non-zero, else
+    ConsistencyError; then it is mu_bar * E_(alpha, beta).
     """
     p = table.p
     basis, mu = mu_matrix(r, table)
@@ -144,10 +146,9 @@ def realizations(r: int, table: EtaRTable):
     result = {}
     for b, beta in enumerate(basis):
         mu_bar, coeffs = solve_column(basis, mu, b, p)
-        terms = [(index[gamma], c.numerator) for gamma, c in coeffs.items() if c.denominator == 1]
+        terms = [(index[gamma], c) for gamma, c in coeffs.items()]
         row = [sum(c * mu_j[g] for g, c in terms) for mu_j in mu]
-        if (mu_bar == 0 or len(terms) != len(coeffs)
-                or any(x != (mu_bar if j == b else 0) for j, x in enumerate(row))):
+        if mu_bar == 0 or any(x != (mu_bar if j == b else 0) for j, x in enumerate(row)):
             raise ConsistencyError(f"realized combination for column {beta} is not "
                                    f"{mu_bar}*e_{beta} in integers in weight {r}")
         result[beta] = (mu_bar, tuple((basis[g], c) for g, c in terms))

@@ -79,8 +79,8 @@ def poly_to_sympy(poly):
 def test_hazewinkel_m_against_sympy(p, kmax):
     _, _, m = sympy_generators(p, kmax)
     for k in range(kmax + 1):
-        ours = poly_to_sympy(hazewinkel_m(p, k))
-        assert sympy.expand(ours - m[k]) == 0, (p, k)
+        ours = poly_to_sympy(hazewinkel_m(p, k))  # p^k m_k
+        assert sympy.expand(ours - p**k * m[k]) == 0, (p, k)
 
 
 @pytest.mark.parametrize("p,kmax", [(3, 3), (5, 2), (7, 2)])
@@ -97,16 +97,13 @@ def test_eta_generators_against_sympy(p, kmax):
 # ---------------------------------------------------------------------------
 
 def test_hazewinkel_m_small():
+    # p^k m_k: m_1 = v_1/p, m_2 = v_2/p + v_1^(p+1)/p^2
     assert hazewinkel_m(3, 0) == GradedPoly.const(3, 1)
-    assert hazewinkel_m(3, 1) == GradedPoly(3, {((1,), ()): Fraction(1, 3)})
-    assert hazewinkel_m(3, 2) == GradedPoly(3, {
-        ((0, 1), ()): Fraction(1, 3),
-        ((4,), ()): Fraction(1, 9),
-    })
-    assert hazewinkel_m(5, 2) == GradedPoly(5, {
-        ((0, 1), ()): Fraction(1, 5),
-        ((6,), ()): Fraction(1, 25),
-    })
+    assert hazewinkel_m(3, 1) == GradedPoly(3, {((1,), ()): 1})
+    assert hazewinkel_m(3, 2) == GradedPoly(3, {((0, 1), ()): 3, ((4,), ()): 1})
+    assert hazewinkel_m(5, 2) == GradedPoly(5, {((0, 1), ()): 5, ((6,), ()): 1})
+    for p, k in [(3, 2), (3, 3), (5, 3)]:
+        assert {type(c) for c in hazewinkel_m(p, k).terms.values()} == {int}
 
 
 def test_hazewinkel_m_rejects_even_prime():
@@ -230,8 +227,8 @@ def test_homogeneity(table_p3):
 
 
 def test_substitute_m_roundtrip():
-    # p*m_1 rewrites to v_1
-    assert substitute_m(3, {1: GradedPoly.const(3, 3)}) == GradedPoly.v_mono(3, (1,))
+    # p*m_1 is v_1
+    assert substitute_m(3, {1: GradedPoly.const(3, 1)}) == GradedPoly.v_mono(3, (1,))
 
 
 def test_graded_poly_rejects_inhomogeneous():
@@ -601,8 +598,12 @@ def test_store_refuses_non_integer_coefficients():
     with pytest.raises(IntegralityError, match=re.escape(
             "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 7/2")):
         table._store((1,), bad)
-    integral = GradedPoly._trusted(3, {((1,), ()): Fraction(1), ((), (1,)): Fraction(3)}, 1)
-    assert [type(c) for c in table._store((1,), integral).terms.values()] == [int, int]
+    # An integral Fraction is refused too: the table converts nothing.
+    integral = GradedPoly._trusted(3, {((1,), ()): 1, ((), (1,)): Fraction(3)}, 1)
+    with pytest.raises(IntegralityError, match=re.escape(
+            "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 3")):
+        table._store((1,), integral)
+    assert (1,) not in table._cache
 
 
 def test_built_and_loaded_tables_hold_ints(tmp_path):

@@ -738,6 +738,102 @@ def test_bad_realization_fails_lattices(tmp_path, capsys, monkeypatch):
         assert check["witness"].startswith("realized combination for column "), check
 
 
+def test_a_diagonal_that_is_not_a_p_power_fails_realize(tmp_path, capsys, monkeypatch):
+    # Doubled, the diagonal of mu holds no p-power: the column solve's floor
+    # divisions are not exact, and the row check refuses the column.  In
+    # weight 1, 3 // 6 rounds the whole column to zero.
+    from bpcentre import op_calculus
+
+    real = op_calculus.mu_matrix
+
+    def doubled(r, table):
+        basis, mu = real(r, table)
+        if r not in (1, 4):
+            return basis, mu
+        return basis, tuple(tuple(2 * c if i == j else c for j, c in enumerate(row))
+                            for i, row in enumerate(mu))
+
+    monkeypatch.setattr(op_calculus, "mu_matrix", doubled)
+    argv = ["verify", "realize", "--p", "3", "--max-weight", "5",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    for r in (1, 4):
+        failed = checks.pop(f"realize/w={r}")
+        assert failed["status"] == "FAIL"
+        assert re.fullmatch(r"realized combination for column \(.*\) is not "
+                            rf"\d+\*e_\(.*\) in integers in weight {r}", failed["witness"])
+    assert all(c["status"] == "PASS" for c in checks.values()), checks
+
+
+def test_planted_non_integral_coefficient_fails_eta_table(tmp_path, capsys, monkeypatch):
+    # m_1 = v_1 in place of v_1/p, as in the populate test of test_bp_hopf:
+    # p^2 eta_R(v_2) is then not divisible by p^2, and the command says so.
+    from bpcentre import bp_hopf
+
+    real = bp_hopf.hazewinkel_m
+    for k in range(3):
+        real(3, k)  # memoized, so the patched recursion below never reaches it
+    monkeypatch.setattr(bp_hopf, "hazewinkel_m",
+                        lambda p, k: real(p, k) * p if k == 1 else real(p, k))
+    code, out = run_cli(capsys, ["eta-table", "--p", "3", "--max-weight", "4",
+                                 "--cache", str(tmp_path / "cache")])
+    assert code == 1
+    assert out == ("FAIL integrality: eta_R(v^(0, 1)) has non-integral coefficients: "
+                   "((4,), ()) -> -80/3\n")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_an_integrality_offender_fails_its_check(tmp_path, capsys, monkeypatch):
+    from fractions import Fraction
+
+    from bpcentre import cli_report
+
+    real = cli_report.check_integrality
+
+    def planted(poly):
+        if poly.weight != 2:
+            return real(poly)
+        return False, [(min(poly.terms), Fraction(1, 3))]
+
+    monkeypatch.setattr(cli_report, "check_integrality", planted)
+    argv = ["verify", "etaR", "--p", "3", "--max-weight", "4",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = {c["id"]: c for c in json.loads(out)["suites"][0]["checks"]}
+    failed = checks.pop("integrality/w=2")
+    assert failed["status"] == "FAIL"
+    assert " offender=((2,), " in failed["witness"], failed
+    assert "Fraction(1, 3)" in failed["witness"]
+    assert all(c["status"] == "PASS" for c in checks.values()), checks
+
+
+def test_no_command_creates_a_fraction(tmp_path, capsys, monkeypatch):
+    # eta_R and the realized columns are built in integers: a Fraction is
+    # made only on an error path.
+    from fractions import Fraction
+
+    made = []
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    runs = [["eta-table", "--p", "3", "--max-weight", "13"],
+            ["eta-table", "--p", "5", "--max-weight", "31"],
+            ["verify", "all", "--p", "3", "--max-weight", "8", "--N", "4", "--heights", "1,2,3"],
+            ["lattices", "--p", "3", "--max-weight", "13", "--N", "9", "--heights", "1,2"]]
+    for argv in runs:
+        for fmt in ("json", "csv", "markdown"):
+            code, _ = run_cli(capsys, [*argv, "--format", fmt, "--cache", str(tmp_path / "cache")])
+            assert code == 0, argv
+    assert made == []
+
+
 def test_column_solve_runs_once_per_monomial(tmp_path, capsys, monkeypatch):
     from bpcentre import op_calculus
     from bpcentre.monomial_order import enumerate_weight

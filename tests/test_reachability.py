@@ -1,8 +1,8 @@
 """Every function in ``src/bpcentre`` is called by a command, or is listed here.
 
 A fresh interpreter installs a profiler before ``import bpcentre``, runs
-``eta-table``, ``verify all`` and ``lattices`` at p=3 W=8 N=4 in every
-format, and reports the functions of the package whose code never ran.
+``eta-table``, ``verify all`` and ``lattices`` at p=3 W=8 N=4 heights 1,2 in
+every format, and reports the functions of the package whose code never ran.
 Those must be exactly the allow-list below, each with its reason, so a
 helper that nothing calls fails the suite, and so does an allow-list entry
 that a command has started to call.  Each oracle must also be used by some
@@ -55,7 +55,7 @@ from bpcentre.cli_report import main
 
 for command in (["eta-table"], ["verify", "all"], ["lattices"]):
     for fmt in ("json", "csv", "markdown"):
-        argv = [*command, "--p", "3", "--max-weight", "8", "--N", "4",
+        argv = [*command, "--p", "3", "--max-weight", "8", "--N", "4", "--heights", "1,2",
                 "--format", fmt, "--cache", sys.argv[1]]
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0, argv
