@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from fractions import Fraction
 from functools import cache, lru_cache
 from operator import itemgetter
 
@@ -145,11 +144,13 @@ class GradedPoly:
         return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedPoly):
+            if not isinstance(other, int):
+                from fractions import Fraction  # only a non-int operand needs it
+                if not isinstance(other, Fraction):
+                    return NotImplemented
             terms = {k: c * other for k, c in self.terms.items()} if other else {}
             return GradedPoly._trusted(self.p, terms, self.weight)
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
         if self.p != other.p:
             raise ValueError("mixed primes")
         if not (self.terms and other.terms):
@@ -352,9 +353,11 @@ class EtaRTable:
             t_power(i - a, a, -p ** (k - a)) * powers[i] for i in range(max(a, 1), k)
         ]) for a in range(k + 1)}
         scaled, q = substitute_m(p, groups), p**k
-        offenders = [(key, Fraction(c, q)) for key, c in scaled.terms.items() if c % q]
+        offenders = [(key, c) for key, c in scaled.terms.items() if c % q]
         if offenders:
-            raise _coefficient_error(unit_exp(k), "non-integral", offenders)
+            from fractions import Fraction
+            raise _coefficient_error(unit_exp(k), "non-integral",
+                                     [(key, Fraction(c, q)) for key, c in offenders])
         quotient = {key: c // q for key, c in scaled.terms.items()}
         return GradedPoly._trusted(p, quotient, scaled.weight)
 

@@ -17,7 +17,6 @@ inconsistency was detected, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -31,26 +30,12 @@ from .bp_hopf import (
     IntegralityError,
     check_integrality,
 )
-from .dvr_arith import (
-    generates_units_mod_p2,
-    is_odd_prime,
-    scalar_value,
-    topological_generator,
-    valuation,
-)
-from .ktheory_lattice import (
-    ClosureError,
-    StabilizationError,
-    adams_sequence,
-    compare_with_diagonal_window,
-    default_caps,
-    sg_closure,
-    sg_membership,
-    sg_window,
-)
+from .dvr_arith import (default_caps, generates_units_mod_p2, is_odd_prime, scalar_value,
+                         topological_generator, valuation)
 from .monomial_order import enumerate_weight, max_generator_index, unit_exp
-from .op_calculus import ConsistencyError, mu_matrix, realizations
-from .truncation_centre import block_split, centre_commutant
+
+# The verify and lattice modules are imported by the functions that call them, so
+# eta-table never loads them; such an import reads the defining module's attribute.
 
 CACHE_ENV_VAR = "BPCENTRE_CACHE"
 SUITES = ("etaR", "triangular", "realize", "centre", "congruence")
@@ -133,6 +118,7 @@ def weight_stats(table: EtaRTable, r: int):
 def triangular_faults(r: int, table: EtaRTable):
     """(weight-r basis, row by row the entries of mu that break its shape:
     lower triangular with diagonal p^(sum of exponents))."""
+    from .op_calculus import mu_matrix
     p = table.p
     basis, mu = mu_matrix(r, table)
     faults = []
@@ -200,6 +186,7 @@ def suite_triangular(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 
 def suite_realize(config: RunConfig, table: EtaRTable) -> list[dict]:
+    from .op_calculus import ConsistencyError, realizations
     checks: list[dict] = []
     p = config.p
     for r in range(config.max_weight + 1):
@@ -219,6 +206,8 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
     """Block order and centre per (height, weight); an internal inconsistency
     (a violated block order, a realization that does not verify) FAILs the
     check it occurred in, with its message as the witness."""
+    from .op_calculus import ConsistencyError
+    from .truncation_centre import block_split, centre_commutant
     checks: list[dict] = []
     for n in config.heights:
         for r in range(config.max_weight + 1):
@@ -246,6 +235,9 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 
 def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
+    from .ktheory_lattice import (ClosureError, StabilizationError, compare_with_diagonal_window,
+                                  sg_closure, sg_membership, sg_window)
+    from .op_calculus import ConsistencyError, adams_sequence
     checks: list[dict] = []
     p, q, N = config.p, config.q, config.N
     try:
@@ -304,6 +296,7 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     """The comparisons' keys over the heights: S_g once, inclusions as one flag."""
+    from .ktheory_lattice import compare_with_diagonal_window, sg_closure, sg_window
     sg = sg_window(config.p, config.N, q=config.q, caps=config.caps, margin=config.margin)
     sg_closure(sg)
     comparisons = [compare_with_diagonal_window(config.N, n, table, sg[0])
@@ -333,6 +326,7 @@ def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
+        import csv
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "name", "id", "status", "witness"])
@@ -453,6 +447,8 @@ def run_command(config: RunConfig, command: str, suite: str = "all") -> int:
     elif command == "verify":
         report["suites"] = run_suites(config, table, suite)
     else:
+        from .ktheory_lattice import ClosureError, StabilizationError
+        from .op_calculus import ConsistencyError
         try:
             report["lattices"] = lattice_report(config, table)
         except (StabilizationError, ClosureError, ConsistencyError) as exc:

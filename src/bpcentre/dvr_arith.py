@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 INFINITY = math.inf
 
-Scalar = int | Fraction
+# Documentation only: the string leaves fractions unimported until a Fraction is built.
+Scalar = "int | Fraction"
 Vector = tuple[Scalar, ...]
 Matrix = tuple[Vector, ...]
 
@@ -103,6 +103,11 @@ def topological_generator(p: int) -> int:
     return next(q for q in range(2, p * p) if generates_units_mod_p2(q, p))
 
 
+def default_caps(N: int) -> tuple[int, int]:
+    """Default generator caps (M, S) of the Adams family for window N."""
+    return N + 8, 3
+
+
 # ---------------------------------------------------------------------------
 # plain exact matrices (tuples of row tuples)
 # ---------------------------------------------------------------------------
@@ -169,8 +174,9 @@ def integer_scaling(entries) -> tuple[list[int], int]:
 
 def _entries(col: list[int], d: int) -> Vector:
     """The vector col/d, with ``int`` entries wherever they are integers."""
-    if d == 1:
-        return tuple(col)
+    if d == 1 or all(x % d == 0 for x in col):
+        return tuple(x // d for x in col)
+    from fractions import Fraction
     return tuple(x // d if x % d == 0 else Fraction(x, d) for x in col)
 
 
@@ -244,6 +250,7 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
         if len(col) != ambient_rank:
             raise ValueError(f"vector rank {len(col)} != ambient rank {ambient_rank}")
         if d % p == 0:
+            from fractions import Fraction
             x = next(x for x in (Fraction(n, d) for n in col) if x.denominator % p == 0)
             raise ValueError(f"non-integral entry {x} (valuation {valuation(x, p)})")
         cols.append(col)
@@ -298,7 +305,9 @@ def lattice_membership(v, lattice: DvrLattice):
         k, rem = divmod(x.numerator, p**e)
         if rem or x.denominator % p == 0:
             return None
-        k = k if x.denominator == 1 else Fraction(k, x.denominator)
+        if x.denominator != 1:
+            from fractions import Fraction
+            k = Fraction(k, x.denominator)
         coeffs.append(k)
         residual = [y - k * c for y, c in zip(residual, col)]
     return None if any(residual) else tuple(coeffs)

@@ -18,12 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bp_hopf import EtaRTable
-from .dvr_arith import (
-    DvrLattice,
-    echelon_lattice,
-    lattice_membership,
-    topological_generator,
-)
+from .dvr_arith import (DvrLattice, default_caps, echelon_lattice, lattice_membership,
+                         topological_generator)
 from .op_calculus import adams_sequence
 from .truncation_centre import diagonal_window_lattice, phi_window_lattice
 
@@ -34,11 +30,6 @@ class StabilizationError(RuntimeError):
 
 class ClosureError(RuntimeError):
     """The Adams window of a p-local integer lies outside the computed S_g."""
-
-
-def default_caps(N: int) -> tuple[int, int]:
-    """Default generator caps (M, S) of the Adams family for window N."""
-    return N + 8, 3
 
 
 class StabilizationCertificate(namedtuple(

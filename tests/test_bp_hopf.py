@@ -522,6 +522,18 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
     assert len((x * y).terms) == 2
 
 
+def test_scalar_product_takes_int_and_fraction_only():
+    a = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
+    third = a * Fraction(1, 3)
+    assert third.terms == {((1,), ()): Fraction(1, 3), ((), (1,)): 1}
+    assert type(third.terms[((1,), ())]) is Fraction
+    assert (a * 2).terms == {((1,), ()): 2, ((), (1,)): 6}
+    assert a.__mul__(0.5) is NotImplemented
+    for bad in (lambda: a * 0.5, lambda: 0.5 * a, lambda: a * "2"):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_sum_of_different_weights_raises_and_cancellation_is_zero():
     a = GradedPoly(3, {((1,), ()): 1})
     b = GradedPoly(3, {((2,), ()): 1})

@@ -134,11 +134,11 @@ def test_verify_triangular(tmp_path, capsys):
 
 @pytest.mark.parametrize("i, j", [(0, 0), (0, 1)], ids=["diagonal", "above the diagonal"])
 def test_top_term_and_triangular_fail_on_a_perturbed_mu(i, j, monkeypatch):
-    from bpcentre import cli_report
+    from bpcentre import cli_report, op_calculus
     from bpcentre.bp_hopf import EtaRTable
 
     table = EtaRTable(3, 4).populate()
-    real = cli_report.mu_matrix
+    real = op_calculus.mu_matrix
 
     def perturbed(r, table):
         basis, mu = real(r, table)
@@ -148,7 +148,7 @@ def test_top_term_and_triangular_fail_on_a_perturbed_mu(i, j, monkeypatch):
         rows[i][j] += 1
         return basis, tuple(map(tuple, rows))
 
-    monkeypatch.setattr(cli_report, "mu_matrix", perturbed)
+    monkeypatch.setattr(op_calculus, "mu_matrix", perturbed)
     config = RunConfig(max_weight=4, heights=(1,))
     checks = {c["id"]: c for suite in (cli_report.suite_etaR, cli_report.suite_triangular)
               for c in suite(config, table)}
@@ -931,7 +931,7 @@ def test_centre_commutant_gets_int_matrices(tmp_path, capsys, monkeypatch):
 
 
 def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypatch):
-    from bpcentre import cli_report, truncation_centre
+    from bpcentre import truncation_centre
 
     real = truncation_centre.block_split
     splits = []
@@ -940,9 +940,7 @@ def test_block_split_runs_once_per_weight_and_height(tmp_path, capsys, monkeypat
         splits.append((r, n))
         return real(r, n, p)
 
-    # suite_centre calls it through its own import of the name.
-    for module in (truncation_centre, cli_report):
-        monkeypatch.setattr(module, "block_split", counted)
+    monkeypatch.setattr(truncation_centre, "block_split", counted)
     argv = ["verify", "centre", "--p", "3", "--max-weight", "8", "--heights", "1,2,3",
             "--format", "json", "--cache", str(tmp_path / "cache")]
     assert run_cli(capsys, argv)[0] == 0
@@ -988,9 +986,9 @@ def test_block_order_failure_fails_lattices(tmp_path, capsys, monkeypatch):
 ])
 def test_centre_check_fails_on_rank_or_scalar(rank, basis, witness, tmp_path, capsys,
                                               monkeypatch):
-    from bpcentre import cli_report
+    from bpcentre import truncation_centre
 
-    monkeypatch.setattr(cli_report, "centre_commutant", lambda *args: (rank, basis))
+    monkeypatch.setattr(truncation_centre, "centre_commutant", lambda *args: (rank, basis))
     argv = ["verify", "centre", "--p", "3", "--max-weight", "2", "--heights", "1",
             "--format", "json", "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, argv)

@@ -5,10 +5,13 @@ paid for on every invocation.  The check runs in a child process because
 pytest itself imports ``inspect`` and ``ast``.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -30,6 +33,40 @@ def test_a_command_does_not_load_dataclasses(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(tmp_path / "cache"), *UNWANTED],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["0"], done.stdout
+
+
+# Each command loads only the modules it runs: eta-table neither the verify
+# and lattice modules nor the csv writer, and no command loads fractions (no
+# command builds a Fraction) or the decimal module that fractions pulls in.
+NOT_LOADED = [
+    (["eta-table", "--max-weight", "4"],
+     ("fractions", "decimal", "numbers", "csv", "bpcentre.op_calculus",
+      "bpcentre.truncation_centre", "bpcentre.ktheory_lattice")),
+    (["verify", "all", "--max-weight", "4", "--N", "2", "--heights", "1,2"],
+     ("fractions", "decimal", "csv")),
+    (["lattices", "--max-weight", "4", "--N", "2", "--heights", "1,2"],
+     ("fractions", "decimal", "csv")),
+]
+
+COMMAND_CHILD = """
+import io, json, sys
+import bpcentre.cli_report
+sys.stdout = io.StringIO()
+code = bpcentre.cli_report.main(json.loads(sys.argv[1]))
+sys.stdout = sys.__stdout__
+print(code, *[name for name in sys.argv[2:] if name in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("argv, unwanted", NOT_LOADED, ids=[argv[0] for argv, _ in NOT_LOADED])
+def test_a_command_loads_only_what_it_runs(argv, unwanted, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [*argv, "--format", "json", "--cache", str(tmp_path / "cache")]
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND_CHILD, json.dumps(argv), *unwanted],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split() == ["0"], done.stdout
