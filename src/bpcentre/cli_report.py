@@ -322,6 +322,55 @@ LATTICE_COMPARISONS = (
 )
 
 
+def report_items(report: dict):
+    """Each line of the report once, in order, as (csv rows, markdown lines).
+
+    A heading and the stabilization line have no csv rows; a weight is three
+    csv rows and one table line.  The csv and markdown renderings and the exit
+    status all read these items.
+    """
+    yield [], ["", "## configuration", ""]
+    for key, value in report["config"].items():
+        yield [["config", key, "", "", json.dumps(value)]], [f"- {key}: {json.dumps(value)}"]
+    if "cache" in report:
+        yield [], ["", "## cache", ""]
+        for key, value in report["cache"].items():
+            yield [["cache", key, "", "", value]], [f"- {key}: {value}"]
+    for suite in report["suites"]:
+        yield [], ["", f"## suite: {suite['name']}", "",
+                   "| check | status | witness |", "| --- | --- | --- |"]
+        for check in suite["checks"]:
+            witness = check["witness"].replace("|", "\\|")
+            yield ([["suite", suite["name"], check["id"], check["status"], check["witness"]]],
+                   [f"| {check['id']} | {check['status']} | {witness} |"])
+    lat = report.get("lattices")
+    if lat:
+        yield [], ["", "## lattices", ""]
+        yield ([["lattice", "S_g", "divisors", "", json.dumps(lat["sg"])]],
+               [f"- S_g elementary divisors (p-exponents): {lat['sg']}"])
+        for name, ok, gap, what, gap_name in LATTICE_COMPARISONS:
+            for n, div in lat.get(name, {}).items():
+                yield ([["lattice", f"{name}/n={n}", "divisors", "", json.dumps(div)]],
+                       [f"- {name} window divisors at height {n}: {div}"])
+            if ok in lat:
+                status, gaps = "PASS" if lat[ok] else "FAIL", json.dumps(lat[gap])
+                yield ([["lattice", ok.replace("_", "-"), "", status, gaps]],
+                       [f"- inclusion {what}: {status}", f"- {gap_name} by height: {gaps}"])
+        yield [], [f"- stabilization: {json.dumps(lat['stabilization'])}"]
+    if "eta" in report:
+        yield [], ["", "## right unit on the generators", ""]
+        for row in report["eta"]:
+            yield ([["eta", f"v_{row['index']}", "", "", row["value"]]],
+                   [f"- eta_R(v_{row['index']}) = {row['value']}"])
+        yield [], ["", "## per-weight statistics", "",
+                   "| weight | monomials | terms | max coefficient valuation |",
+                   "| --- | --- | --- | --- |"]
+        keys = ("monomials", "terms", "max_coeff_val")
+        for row in report["weights"]:
+            yield ([["weight", f"w={row['weight']}", key, "", row[key]] for key in keys],
+                   ["| " + " | ".join(str(row[key]) for key in ("weight", *keys)) + " |"])
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
@@ -330,84 +379,18 @@ def render_report(report: dict, fmt: str) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "name", "id", "status", "witness"])
-        for key, value in report["config"].items():
-            writer.writerow(["config", key, "", "", json.dumps(value)])
-        for key, value in report.get("cache", {}).items():
-            writer.writerow(["cache", key, "", "", value])
-        for suite in report["suites"]:
-            for check in suite["checks"]:
-                writer.writerow(
-                    ["suite", suite["name"], check["id"], check["status"],
-                     check["witness"]]
-                )
-        if report.get("lattices"):
-            lat = report["lattices"]
-            writer.writerow(["lattice", "S_g", "divisors", "", json.dumps(lat["sg"])])
-            for name, ok, gap, _, _ in LATTICE_COMPARISONS:
-                for n, div in lat.get(name, {}).items():
-                    writer.writerow(
-                        ["lattice", f"{name}/n={n}", "divisors", "", json.dumps(div)]
-                    )
-                if ok in lat:
-                    writer.writerow(["lattice", ok.replace("_", "-"), "",
-                                     "PASS" if lat[ok] else "FAIL", json.dumps(lat[gap])])
-        for row in report.get("eta", ()):
-            writer.writerow(["eta", f"v_{row['index']}", "", "", row["value"]])
-        for row in report.get("weights", ()):
-            for key in ("monomials", "terms", "max_coeff_val"):
-                writer.writerow(["weight", f"w={row['weight']}", key, "", row[key]])
+        for rows, _ in report_items(report):
+            writer.writerows(rows)
         return buf.getvalue()
-
-    lines = ["# bpcentre report", "", "## configuration", ""]
-    for key, value in report["config"].items():
-        lines.append(f"- {key}: {json.dumps(value)}")
-    if "cache" in report:
-        lines += ["", "## cache", ""]
-        for key, value in report["cache"].items():
-            lines.append(f"- {key}: {value}")
-    for suite in report["suites"]:
-        lines += ["", f"## suite: {suite['name']}", "",
-                  "| check | status | witness |", "| --- | --- | --- |"]
-        for check in suite["checks"]:
-            witness = check["witness"].replace("|", "\\|")
-            lines.append(f"| {check['id']} | {check['status']} | {witness} |")
-    if report.get("lattices"):
-        lat = report["lattices"]
-        lines += ["", "## lattices", ""]
-        lines.append(f"- S_g elementary divisors (p-exponents): {lat['sg']}")
-        for name, ok, gap, what, gap_name in LATTICE_COMPARISONS:
-            for n, div in lat.get(name, {}).items():
-                lines.append(f"- {name} window divisors at height {n}: {div}")
-            if ok in lat:
-                lines.append(f"- inclusion {what}: {'PASS' if lat[ok] else 'FAIL'}")
-                lines.append(f"- {gap_name} by height: {json.dumps(lat[gap])}")
-        lines.append(f"- stabilization: {json.dumps(lat['stabilization'])}")
-    if "eta" in report:
-        lines += ["", "## right unit on the generators", ""]
-        for row in report["eta"]:
-            lines.append(f"- eta_R(v_{row['index']}) = {row['value']}")
-        lines += ["", "## per-weight statistics", "",
-                  "| weight | monomials | terms | max coefficient valuation |",
-                  "| --- | --- | --- | --- |"]
-        for row in report["weights"]:
-            lines.append(
-                f"| {row['weight']} | {row['monomials']} | {row['terms']} "
-                f"| {row['max_coeff_val']} |"
-            )
+    lines = ["# bpcentre report"]
+    for _, item_lines in report_items(report):
+        lines += item_lines
     return "\n".join(lines) + "\n"
 
 
 def overall_status(report: dict) -> int:
-    for suite in report.get("suites", ()):
-        for check in suite["checks"]:
-            if check["status"] != "PASS":
-                return 1
-    lattices = report.get("lattices")
-    if lattices is not None and not (
-        lattices.get("inclusion", True) and lattices.get("phi_inclusion", True)
-    ):
-        return 1
-    return 0
+    """1 exactly when some report item's csv status field reads FAIL."""
+    return int(any(row[3] == "FAIL" for rows, _ in report_items(report) for row in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,45 @@ def test_phi_inclusion_check_can_fail(tmp_path, capsys, monkeypatch):
     assert lat["gap"]["1"] > 0  # the diagonal lattice L_phi + S_g is larger than S_g
 
 
+@pytest.mark.parametrize("fmt,line", [
+    ("csv", 'lattice,phi-inclusion,,FAIL,"{""1"": null, ""2"": null}"'),
+    ("markdown", "- inclusion phi-only in S_g: FAIL"),
+])
+def test_lattice_inclusion_fail_is_rendered(fmt, line, tmp_path, capsys, monkeypatch):
+    inject_window_outside_sg(monkeypatch)
+    argv = ["lattices", "--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1,2",
+            "--format", fmt, "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert line in out.splitlines()
+
+
+# Passing and failing runs: (argv, whether L_phi gets a window outside S_g).
+STATUS_RUNS = [
+    (["lattices", "--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1,2"], False),
+    (["lattices", "--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1,2"], True),
+    (["verify", "all", "--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1,2"], False),
+    (["verify", "all", "--p", "3", "--max-weight", "5", "--N", "3", "--heights", "1,2"], True),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_exit_code_is_1_exactly_when_the_report_shows_a_fail(fmt, tmp_path, capsys,
+                                                              monkeypatch):
+    # json shows a failed check as status "FAIL" and a failed inclusion as false.
+    shown = {"json": ('"FAIL"', ": false"), "csv": (",FAIL,",), "markdown": ("FAIL",)}[fmt]
+    codes = []
+    for argv, inject in STATUS_RUNS:
+        with monkeypatch.context() as patch:
+            if inject:
+                inject_window_outside_sg(patch)
+            code, out = run_cli(capsys, [*argv, "--format", fmt,
+                                         "--cache", str(tmp_path / "cache")])
+        assert code == int(any(mark in out for mark in shown)), (argv, inject)
+        codes.append(code)
+    assert codes == [0, 1, 0, 1]
+
+
 def test_truncated_cache_names_its_path(tmp_path, capsys):
     argv = ["eta-table", "--p", "3", "--max-weight", "8",
             "--cache", str(tmp_path / "cache")]

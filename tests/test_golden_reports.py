@@ -1,8 +1,10 @@
-"""Report bytes are pinned for eleven configurations: verify all, lattices
-and eta-table in every format, the deeper p=3 lattices run (the benchmark's
-lattices-deep) in every format, the stress lattices run (window N=13,
-entries past 500 bits), the centre suite at p=3, 5 and 7 in json, and the
-benchmark's verify-warm and eta-table configurations in every format.
+"""Report bytes and exit codes are pinned for twelve configurations: verify
+all, lattices and eta-table in every format, the deeper p=3 lattices run (the
+benchmark's lattices-deep) in every format, the stress lattices run (window
+N=13, entries past 500 bits), the centre suite at p=3, 5 and 7 in json, the
+benchmark's verify-warm and eta-table configurations in every format, and a
+congruence run whose caps stop the Adams span short, so that its report holds
+FAIL items and the run exits 1, in every format.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -49,11 +51,17 @@ CONFIGS = {
                       "--heights", "1,2,3"],
     "eta_p3_w20": ["eta-table", "--p", "3", "--max-weight", "20"],
     "eta_p5_w31": ["eta-table", "--p", "5", "--max-weight", "31"],
+    # S_g misses the windows of k=3 and k=6: membership and closure FAIL,
+    # while stabilization and both heights' inclusions PASS.
+    "congruence_p3_w13_fail": ["verify", "congruence", "--p", "3", "--max-weight", "13",
+                               "--N", "5", "--heights", "1,2", "--caps", "13,0"],
 }
+# The exit code of each configuration: 1 when its report shows a FAIL, else 0.
+EXIT_CODES = {name: 0 for name in CONFIGS} | {"congruence_p3_w13_fail": 1}
 FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
 CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14",
                                   "verify_p3_w16", "lattices_p3_w13", "eta_p3_w20",
-                                  "eta_p5_w31")
+                                  "eta_p5_w31", "congruence_p3_w13_fail")
          for fmt in FORMATS]
 CASES += [(name, "json") for name in ("lattices_p3_w16_n13", "centre_p3_w13",
                                       "centre_p5_w31", "centre_p7_w20")]
@@ -67,7 +75,8 @@ WRITTEN = {"json": b'"status": "written"', "csv": b"cache,status,,,written",
 @pytest.mark.parametrize("name,fmt", CASES)
 def test_report_bytes_match_golden(name, fmt, tmp_path, monkeypatch, capsys):
     """Cold, the report is the golden file; run again in the same directory,
-    it is the golden file with the cache status ``hit`` for ``written``."""
+    it is the golden file with the cache status ``hit`` for ``written``.
+    Both runs exit with the configuration's code."""
     monkeypatch.chdir(tmp_path)
     golden = (DATA / f"{name}.{FORMATS[fmt]}").read_bytes()
     assert golden.count(WRITTEN[fmt]) == 1
@@ -75,5 +84,5 @@ def test_report_bytes_match_golden(name, fmt, tmp_path, monkeypatch, capsys):
     for expected in (golden, warm):
         code = main(CONFIGS[name] + ["--format", fmt, "--cache", "cache"])
         out = capsys.readouterr().out
-        assert code == 0
+        assert code == EXIT_CODES[name]
         assert out.encode("utf-8") == expected

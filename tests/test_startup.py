@@ -70,3 +70,16 @@ def test_a_command_loads_only_what_it_runs(argv, unwanted, tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split() == ["0"], done.stdout
+
+
+# The markdown report walks the same items as the csv one, but writes no csv.
+@pytest.mark.parametrize("argv", [argv for argv, _ in NOT_LOADED[1:]],
+                         ids=[argv[0] for argv, _ in NOT_LOADED[1:]])
+def test_a_markdown_report_does_not_load_csv(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [*argv, "--format", "markdown", "--cache", str(tmp_path / "cache")]
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND_CHILD, json.dumps(argv), "csv"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["0"], done.stdout
