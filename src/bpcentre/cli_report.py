@@ -218,7 +218,7 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
                 _check(checks, f"centre/n={n}/w={r}", False, str(exc))
                 continue
             _check(checks, f"block-order/n={n}/w={r}", True,
-                   f"|R|={len(split.r_indices)} |J|={len(split.j_indices)}")
+                   f"|R|={len(split.r_basis)} |J|={len(split.basis) - len(split.r_basis)}")
             try:
                 rank, basis = centre_commutant(r, n, table, split)
             except ConsistencyError as exc:

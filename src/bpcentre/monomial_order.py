@@ -83,10 +83,13 @@ def max_generator_index(r: int, p: int) -> int:
 
 
 def enumerate_weight(r: int, p: int) -> list[Exp]:
-    """All sequences of weight r, sorted ascending: the weight-r monomial basis.
+    """All sequences of weight r in ascending order: the weight-r monomial basis.
 
     Only generators of weight at most r can occur, those of index up to
-    :func:`max_generator_index`.
+    :func:`max_generator_index`.  The recursion yields right-lex order by
+    construction: with e = 0 on the top generator it yields the shorter
+    sequences, which come first; then e rises, and for each e the heads come
+    out in order by induction.
     """
     if r < 0:
         raise ValueError("weight must be non-negative")
@@ -105,7 +108,7 @@ def enumerate_weight(r: int, p: int) -> list[Exp]:
                 else:
                     yield head
 
-    return sorted(rec(r, max_generator_index(r, p)), key=sort_key)
+    return list(rec(r, max_generator_index(r, p)))
 
 
 def in_ideal(a: Exp, n: int) -> bool:

@@ -31,19 +31,14 @@ from .dvr_arith import (
     is_integral,
     valuation,
 )
-from .monomial_order import (Exp, add, enumerate_weight, in_ideal, max_generator_index,
-                             normalize, weight)
+from .monomial_order import add, enumerate_weight, in_ideal, max_generator_index, normalize, weight
 from .op_calculus import ConsistencyError, adams_sequence, per_table, realizations
 
 
-class BlockSplit(namedtuple("BlockSplit", "basis r_indices j_indices")):
-    """Positions in a weight-r basis of the R and J blocks at height n."""
+class BlockSplit(namedtuple("BlockSplit", "basis r_basis")):
+    """A weight-r basis and its R block at height n, certified to be a prefix."""
 
     __slots__ = ()
-
-    @property
-    def r_basis(self) -> tuple[Exp, ...]:
-        return tuple(self.basis[i] for i in self.r_indices)
 
 
 def block_split(r: int, n: int, p: int) -> BlockSplit:
@@ -52,12 +47,11 @@ def block_split(r: int, n: int, p: int) -> BlockSplit:
         raise ValueError("height must be at least 1")
     basis = tuple(enumerate_weight(r, p))
     r_idx = tuple(i for i, a in enumerate(basis) if not in_ideal(a, n))
-    j_idx = tuple(i for i, a in enumerate(basis) if in_ideal(a, n))
     if r_idx != tuple(range(len(r_idx))):
         raise ConsistencyError(
             f"block order violated in weight {r} at height {n}: R indices {r_idx}"
         )
-    return BlockSplit(basis=basis, r_indices=r_idx, j_indices=j_idx)
+    return BlockSplit(basis, basis[:len(r_idx)])
 
 
 def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Matrix:
@@ -198,7 +192,7 @@ def iota_hat_n_window(p: int, combination: dict, N: int, n: int) -> list[Matrix]
     mats = []
     for r in range(N + 1):
         scalar = sum(c * w[r] for c, w in windows)
-        size = range(len(block_split(r, n, p).r_indices))
+        size = range(len(block_split(r, n, p).r_basis))
         mats.append(tuple(tuple(scalar if i == j else 0 for j in size)
                           for i in size))
     return mats

@@ -1,10 +1,12 @@
-"""Report bytes and exit codes are pinned for twelve configurations: verify
+"""Report bytes and exit codes are pinned for thirteen configurations: verify
 all, lattices and eta-table in every format, the deeper p=3 lattices run (the
 benchmark's lattices-deep) in every format, the stress lattices run (window
 N=13, entries past 500 bits), the centre suite at p=3, 5 and 7 in json, the
-benchmark's verify-warm and eta-table configurations in every format, and a
+benchmark's verify-warm and eta-table configurations in every format, a
 congruence run whose caps stop the Adams span short, so that its report holds
-FAIL items and the run exits 1, in every format.
+FAIL items and the run exits 1, and a congruence run whose S_g does not
+stabilize within its caps, so that its one check FAILs and the run exits 1,
+both in every format.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -55,13 +57,20 @@ CONFIGS = {
     # while stabilization and both heights' inclusions PASS.
     "congruence_p3_w13_fail": ["verify", "congruence", "--p", "3", "--max-weight", "13",
                                "--N", "5", "--heights", "1,2", "--caps", "13,0"],
+    # The Adams span does not stabilize: sg-stabilization FAILs with the
+    # StabilizationError text, and no later congruence check runs.
+    "congruence_p3_w8_unstable": ["verify", "congruence", "--p", "3", "--max-weight", "8",
+                                  "--N", "4", "--heights", "1", "--caps", "1,0",
+                                  "--margin", "10"],
 }
 # The exit code of each configuration: 1 when its report shows a FAIL, else 0.
-EXIT_CODES = {name: 0 for name in CONFIGS} | {"congruence_p3_w13_fail": 1}
+EXIT_CODES = {name: 0 for name in CONFIGS} | {"congruence_p3_w13_fail": 1,
+                                              "congruence_p3_w8_unstable": 1}
 FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}
 CASES = [(name, fmt) for name in ("verify_p3_w8", "lattices_p5_w8", "eta_p5_w14",
                                   "verify_p3_w16", "lattices_p3_w13", "eta_p3_w20",
-                                  "eta_p5_w31", "congruence_p3_w13_fail")
+                                  "eta_p5_w31", "congruence_p3_w13_fail",
+                                  "congruence_p3_w8_unstable")
          for fmt in FORMATS]
 CASES += [(name, "json") for name in ("lattices_p3_w16_n13", "centre_p3_w13",
                                       "centre_p5_w31", "centre_p7_w20")]

@@ -101,14 +101,18 @@ def test_enumerate_weight_examples():
 
 
 def test_enumerate_weight_sorted_and_exhaustive():
-    for p in (3, 5):
-        for r in range(16):
+    # Up to weight 60 the recursion reaches depth 4 at p=3, where v_4 (weight
+    # 40) first appears; the brute-force search stays below weight 16.
+    for p in (3, 5, 7, 11):
+        for r in range(61):
             seqs = enumerate_weight(r, p)
-            assert len(set(seqs)) == len(seqs)
+            assert len(set(seqs)) == len(seqs) == count_weight(r, p)
             assert seqs == sorted(seqs, key=sort_key)
             for a in seqs:
                 assert weight(a, p) == r
                 assert a == normalize(a)
+            if r >= 16:
+                continue
             # brute-force cross-check by bounded search
             top = max_generator_index(r, p)
             brute = set()

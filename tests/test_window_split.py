@@ -42,7 +42,7 @@ def monolithic_window_lattice(N, n, table, adams_keys):
     for r in range(N + 1):
         split = block_split(r, n, p)
         actions = [action_matrix(alpha, beta, r, table) for alpha, beta in gens]
-        for i in split.r_indices:
+        for i in range(len(split.r_basis)):
             for j in range(len(split.basis)):
                 row = [0] * n_vars
                 for g_idx in range(n_gen):
