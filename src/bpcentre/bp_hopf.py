@@ -102,7 +102,7 @@ class GradedPoly:
 
     @classmethod
     def v_mono(cls, p: int, alpha: Exp) -> "GradedPoly":
-        return cls(p, {(normalize(alpha), ()): 1})
+        return cls(p, {(alpha, ()): 1})
 
     # -- ring structure -----------------------------------------------
 
@@ -189,11 +189,6 @@ class GradedPoly:
         return result
 
     # -- structure queries --------------------------------------------
-
-    def t_evaluated_at_zero(self) -> "GradedPoly":
-        """Image under the ring map sending every t generator to zero."""
-        kept = {k: c for k, c in self.terms.items() if not k[1]}
-        return GradedPoly(self.p, kept)
 
     def pure_t_terms(self) -> dict[Exp, int | Fraction]:
         """Coefficients of the monomials involving only t generators."""
@@ -328,11 +323,14 @@ class EtaRTable:
 
     def _store(self, gamma: Exp, poly: GradedPoly) -> GradedPoly:
         """Keep eta_R(v^gamma), after checking that it is of the weight of
-        gamma and that its coefficients are ``int``."""
-        if not poly.is_zero() and poly.weight != weight(gamma, self.p):
-            raise IntegralityError(
-                f"eta_R(v^{gamma}) is not homogeneous of weight {weight(gamma, self.p)}"
-            )
+        gamma and that its coefficients are ``int``.  A generator's value is
+        built term by term, not as a product of stored values, so each of its
+        terms is weighed; any other value is taken at its claimed weight."""
+        w = weight(gamma, self.p)
+        weighed = poly.terms if gamma and gamma == unit_exp(len(gamma)) else ()
+        if (not poly.is_zero() and poly.weight != w
+                or any(mono_weight(key, self.p) != w for key in weighed)):
+            raise IntegralityError(f"eta_R(v^{gamma}) is not homogeneous of weight {w}")
         if not all(type(c) is int for c in poly.terms.values()):
             raise _coefficient_error(gamma, "non-integer", [
                 (key, c) for key, c in poly.terms.items() if type(c) is not int])

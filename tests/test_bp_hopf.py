@@ -206,7 +206,7 @@ def test_top_term_law(p, table_p3, table_p5):
 def test_counit_law(table_p3):
     for r in range(table_p3.max_weight + 1):
         for gamma in enumerate_weight(r, 3):
-            assert table_p3.eta(gamma).t_evaluated_at_zero() == \
+            assert coefficient_of_t(gamma, (), table_p3) == \
                 GradedPoly.v_mono(3, gamma)
 
 

@@ -849,6 +849,24 @@ def test_an_integrality_offender_fails_its_check(tmp_path, capsys, monkeypatch):
     assert all(c["status"] == "PASS" for c in checks.values()), checks
 
 
+def test_a_wrong_right_unit_fails_the_counit_check(tmp_path, capsys, monkeypatch):
+    # eta_R(v_1) planted as 2*v_1 + 3*t_1: t -> 0 leaves 2*v_1, and 4*v_1^2 at
+    # weight 2, so the exact value and the counit at both weights FAIL.
+    from bpcentre.bp_hopf import GradedPoly
+
+    planted = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3})
+    real = EtaRTable._eta_generator
+    monkeypatch.setattr(EtaRTable, "_eta_generator",
+                        lambda self, k: planted if k == 1 else real(self, k))
+    argv = ["verify", "etaR", "--p", "3", "--max-weight", "2", "--N", "2",
+            "--format", "json", "--cache", str(tmp_path / "cache")]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    checks = json.loads(out)["suites"][0]["checks"]
+    failed = [c["id"] for c in checks if c["status"] == "FAIL"]
+    assert failed == ["eta-v1-exact", "counit/w=1", "counit/w=2"], checks
+
+
 def test_no_command_creates_a_fraction(tmp_path, capsys, monkeypatch):
     # eta_R and the realized columns are built in integers: a Fraction is
     # made only on an error path.

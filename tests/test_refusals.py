@@ -71,3 +71,18 @@ def test_inhomogeneous_generator_fails_eta_table(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == (
         "FAIL integrality: eta_R(v^(1,)) is not homogeneous of weight 1\n")
     assert not (tmp_path / "cache").exists()
+
+
+def test_generator_with_a_term_of_another_weight_fails_eta_table(tmp_path, capsys, monkeypatch):
+    # eta_R(v_1) planted as v_1 + v_2 claiming weight 1, the weight of v_1:
+    # a generator's terms are each weighed, so v_2 (weight 4) is refused.
+    planted = GradedPoly._trusted(3, {((1,), ()): 1, ((0, 1), ()): 1}, 1)
+    real = EtaRTable._eta_generator
+    monkeypatch.setattr(EtaRTable, "_eta_generator",
+                        lambda self, k: planted if k == 1 else real(self, k))
+    code = main(["eta-table", "--p", "3", "--max-weight", "3",
+                 "--cache", str(tmp_path / "cache")])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "FAIL integrality: eta_R(v^(1,)) is not homogeneous of weight 1\n")
+    assert not (tmp_path / "cache").exists()

@@ -83,3 +83,22 @@ def test_a_markdown_report_does_not_load_csv(argv, tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split() == ["0"], done.stdout
+
+
+# python -m bpcentre runs main and exits with its code: 0 on success, 1 on a
+# failed check, 2 on a usage error.
+ENTRY_POINT_RUNS = [
+    (["eta-table", "--max-weight", "2", "--format", "json"], 0),
+    (["lattices", "--p", "3", "--max-weight", "2", "--N", "2", "--caps", "0,0"], 1),
+    (["eta-table", "--p", "4"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", ENTRY_POINT_RUNS, ids=["pass", "fail", "usage"])
+def test_the_module_entry_point_returns_mains_exit_code(argv, code, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "bpcentre", *argv, "--cache", str(tmp_path / "cache")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == code, done.stdout + done.stderr
