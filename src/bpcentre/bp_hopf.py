@@ -5,12 +5,17 @@ on the Hazewinkel generators, defined through the rational generators m_k by
 the recursion p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i} (m_0 = 1).  Co-operations
 live in Z_(p)[v][t], and the right unit is the ring map determined on the
 rational generators by eta_R(m_k) = sum_{i+j=k} m_i t_j^{p^i} with t_0 = 1.
-Monomials are (v, t) pairs: the m_k, whose coefficients have p-power
-denominators, enter the recursion for eta_R(v_k) only as the integer
-polynomials p^k m_k, and the p^k eta_R(v_k) it yields is divided by p^k
-exactly.  A value of eta_R is p-integral, so its coefficients are integers:
-a remainder is refused, the table stores ``int`` coefficients only, and
-composite values are products of integer polynomials.
+Monomials are (v, t) pairs of exponent sequences.  The m_k, whose
+coefficients have p-power denominators, enter the recursion for eta_R(v_k)
+only as the integer polynomials p^k m_k, and the p^k eta_R(v_k) it yields is
+divided by p^k exactly.  A value of eta_R is p-integral, so its coefficients
+are integers: a remainder is refused, the table stores ``int`` coefficients
+only, and composite values are products of integer polynomials.
+
+A polynomial keys its terms by ints that pack each exponent into a field of
+its :class:`Layout`.  A table keeps every value, and every intermediate of
+its construction, at the layout of its weight bound, so a product is key
+addition alone and only readers of exponents unpack a key.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
 serializes to a deterministic JSON document, one entry at a time, so writing,
@@ -23,19 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-from functools import cache, lru_cache
-from operator import itemgetter
+from collections import namedtuple
+from functools import cache, lru_cache, reduce
+from operator import or_
 
 from .dvr_arith import is_odd_prime
-from .monomial_order import (
-    Exp,
-    enumerate_weight,
-    max_generator_index,
-    normalize,
-    sort_key,
-    unit_exp,
-    weight,
-)
+from .monomial_order import (Exp, enumerate_weight, max_generator_index, normalize, sort_key,
+                             unit_exp, weight)
 
 # A mixed monomial: exponent sequences for the v and t generators.
 Mono = tuple[Exp, Exp]
@@ -44,10 +43,19 @@ MONO_ONE: Mono = ((), ())
 
 CONVENTION = "hazewinkel"
 
+# The weight bound of the layout of a polynomial built without one: fields of
+# 6 bits, so any product of two polynomials of weight at most 31 fits.
+DEFAULT_BOUND = 63
+
 
 class IntegralityError(ArithmeticError):
     """A right-unit coefficient that is not an integer (p^k eta_R(v_k) not divisible
     by p^k, or not an ``int``); the message names the entry and its offenders."""
+
+
+class CarryError(ArithmeticError):
+    """An exponent of eta_R(v^gamma) that outgrew its packed field: the
+    table's layout is too narrow for its weight bound (see Layout)."""
 
 
 def mono_weight(key: Mono, p: int) -> int:
@@ -60,36 +68,91 @@ def mono_sort_key(key: Mono):
     return (sort_key(t), sort_key(v))
 
 
+class Layout(namedtuple("Layout", "bound bits shift guard")):
+    """The packing of the monomials of weight at most bound into int keys.
+
+    Fields are bits + 1 bits wide, bits = bound.bit_length(): exponent i of v
+    fills field i, and exponent i of t field i from bit shift on, above the
+    max_generator_index(bound, p) fields of v.  The top bit of each field is
+    a guard, clear in every key.  Every generator has weight >= 1, so no
+    exponent of a monomial of weight at most bound exceeds bound < 2^bits.
+    Adding two keys adds exponents field by field, and two exponents below
+    2^bits sum below 2^(bits+1): no carry leaves a field, and a sum with no
+    guard bit set (mask guard) is the key of the product.  A product of
+    weight at most bound sets none; GradedPoly.__mul__ raises OverflowError
+    if one is set.  Keys order as mono_sort_key: the t part is compared
+    first, and within a part a longer normalized sequence fills a higher
+    field, while sequences of one length compare from the highest index down.
+    """
+
+    __slots__ = ()
+
+    def pack(self, v: Exp, t: Exp) -> int:
+        """The key of the normalized monomial (v, t); OverflowError if an
+        exponent or a generator index does not fit the fields."""
+        width = self.bits + 1
+        fields = self.shift // width
+        if max(len(v), len(t)) > fields or any(e >> self.bits for e in v + t):
+            raise OverflowError(f"({v}, {t}) does not fit the fields of {self}")
+        return sum(e << i * width for i, e in enumerate(v + (0,) * (fields - len(v)) + t))
+
+    def part(self, x: int) -> Exp:
+        """The normalized exponent sequence packed in x, a key's v or t part."""
+        mask, exps = (1 << self.bits) - 1, []
+        while x:
+            exps.append(x & mask)
+            x >>= self.bits + 1
+        return tuple(exps)
+
+    def unpack(self, key: int) -> Mono:
+        """The (v, t) monomial of a key."""
+        return self.part(key & (1 << self.shift) - 1), self.part(key >> self.shift)
+
+
+@cache
+def _layout(bound: int, p: int) -> Layout:
+    """The layout of the monomials of weight at most bound at p (see Layout)."""
+    bits, fields = bound.bit_length(), max_generator_index(bound, p)
+    guard = sum(1 << (i + 1) * (bits + 1) - 1 for i in range(2 * fields))
+    return Layout(bound, bits, fields * (bits + 1), guard)
+
+
 class GradedPoly:
     """A sparse weight-homogeneous polynomial in the v and t generators.
 
-    Immutable by convention; the term map sends mixed monomials to non-zero
-    coefficients, ``int`` or ``Fraction`` (the public constructor stores
-    integral values as ``int``), and all stored terms share one total weight.
+    Immutable by convention.  The term map sends the keys of monomials,
+    packed at the polynomial's layout, to non-zero coefficients, ``int`` or
+    ``Fraction``, and all stored terms share one total weight.  The public
+    constructor takes (v, t) monomials, stores integral values as ``int``
+    and packs at the given layout, by default _layout(DEFAULT_BOUND, p).
+    Products and sums need one layout and never unpack a key; :meth:`items`
+    reads the terms with their exponents.
     """
 
-    __slots__ = ("p", "terms", "weight")
+    __slots__ = ("p", "terms", "weight", "layout")
 
-    def __init__(self, p: int, terms):
-        clean: dict[Mono, int | Fraction] = {}
+    def __init__(self, p: int, terms, layout: Layout | None = None):
+        layout = layout or _layout(DEFAULT_BOUND, p)
+        clean: dict[int, int | Fraction] = {}
         w = None
-        for key, coeff in terms.items():
+        for (v, t), coeff in terms.items():
             if type(coeff) is not int and coeff.denominator == 1:
                 coeff = coeff.numerator
             if coeff == 0:
                 continue
-            v, t = key
-            key = (normalize(v), normalize(t))
-            kw = mono_weight(key, p)
+            v, t = normalize(v), normalize(t)
+            kw = mono_weight((v, t), p)
             if w is None:
                 w = kw
             elif kw != w:
                 raise ValueError(f"inhomogeneous terms: weight {kw} vs {w}")
+            key = layout.pack(v, t)
             clean[key] = clean.get(key, 0) + coeff
-        clean = {k: c for k, c in clean.items() if c != 0}
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "weight", None if not clean else w)
+        self._fill(p, {k: c for k, c in clean.items() if c != 0}, w, layout)
+
+    def _fill(self, p, terms, weight, layout):
+        for name, value in zip(self.__slots__, (p, terms, weight if terms else None, layout)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("GradedPoly is immutable")
@@ -97,12 +160,12 @@ class GradedPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, p: int, c) -> "GradedPoly":
-        return cls(p, {MONO_ONE: c})
+    def const(cls, p: int, c, layout: Layout | None = None) -> "GradedPoly":
+        return cls(p, {MONO_ONE: c}, layout)
 
     @classmethod
-    def v_mono(cls, p: int, alpha: Exp) -> "GradedPoly":
-        return cls(p, {(alpha, ()): 1})
+    def v_mono(cls, p: int, alpha: Exp, layout: Layout | None = None) -> "GradedPoly":
+        return cls(p, {(alpha, ()): 1}, layout)
 
     # -- ring structure -----------------------------------------------
 
@@ -110,38 +173,36 @@ class GradedPoly:
         return not self.terms
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GradedPoly)
-            and self.p == other.p
-            and self.terms == other.terms
-        )
+        return isinstance(other, GradedPoly) and self.p == other.p and (
+            self.terms == other.terms if self.layout == other.layout
+            else dict(self.items()) == dict(other.items()))
 
     __hash__ = None
 
     @classmethod
-    def _trusted(cls, p: int, terms: dict, weight) -> "GradedPoly":
-        """Unchecked: normalised keys, non-zero coefficients, one weight."""
+    def _trusted(cls, p: int, terms: dict, weight, layout: Layout) -> "GradedPoly":
+        """Unchecked: keys packed at layout, non-zero coefficients, one weight."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "p", p)
-        object.__setattr__(poly, "terms", terms)
-        object.__setattr__(poly, "weight", weight if terms else None)
+        poly._fill(p, terms, weight, layout)
         return poly
 
     @classmethod
     def sum(cls, p: int, polys) -> "GradedPoly":
-        """The sum of polynomials of one weight, accumulated in one dict."""
-        out: dict[Mono, int | Fraction] = {}
-        weights = set()
+        """The sum of polynomials of one weight and layout, accumulated in one dict."""
+        out: dict[int, int | Fraction] = {}
+        weights, layout = set(), None
         for poly in polys:
-            if poly.p != p:
-                raise ValueError("mixed primes")
+            layout = layout or poly.layout
+            if poly.p != p or poly.layout != layout:
+                raise ValueError("mixed primes or layouts")
             weights.add(poly.weight)
             for key, c in poly.terms.items():
                 out[key] = out.get(key, 0) + c
         weights.discard(None)
         if len(weights) > 1:
             raise ValueError(f"inhomogeneous terms: weights {sorted(weights)}")
-        return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None))
+        return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None),
+                            layout or _layout(DEFAULT_BOUND, p))
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -150,17 +211,14 @@ class GradedPoly:
                 if not isinstance(other, Fraction):
                     return NotImplemented
             terms = {k: c * other for k, c in self.terms.items()} if other else {}
-            return GradedPoly._trusted(self.p, terms, self.weight)
-        if self.p != other.p:
-            raise ValueError("mixed primes")
+            return GradedPoly._trusted(self.p, terms, self.weight, self.layout)
+        if self.p != other.p or self.layout != other.layout:
+            raise ValueError("mixed primes or layouts")
         if not (self.terms and other.terms):
-            return GradedPoly._trusted(self.p, {}, None)
-        # Each key is packed into one int (see _packed).  Every generator has
-        # weight >= 1, so no exponent of a weight-w product exceeds w: adding
-        # two packed keys adds their exponents without a carry.
+            return GradedPoly._trusted(self.p, {}, None, self.layout)
+        # The sum of two keys is the key of the product monomial (see Layout).
         w = self.weight + other.weight
-        width, shift = _layout(w, self.p)
-        a, b = _packed(self.terms, width, shift), _packed(other.terms, width, shift)
+        a, b = self.terms.items(), other.terms.items()
         if len(a) < len(b):
             a, b = b, a
         out: dict[int, int | Fraction] = {}
@@ -169,17 +227,17 @@ class GradedPoly:
             for ka, ca in a:
                 k = ka + kb
                 out[k] = get(k, 0) + ca * cb
-        low = (1 << shift) - 1
-        terms = {(_unpack(k & low, width), _unpack(k >> shift, width)): c
-                 for k, c in out.items() if c}
-        return GradedPoly._trusted(self.p, terms, w if terms else None)
+        if reduce(or_, out) & self.layout.guard:
+            raise OverflowError(f"a product of weight {w} overflows the fields of {self.layout}")
+        terms = out if all(out.values()) else {k: c for k, c in out.items() if c}
+        return GradedPoly._trusted(self.p, terms, w if terms else None, self.layout)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "GradedPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = GradedPoly.const(self.p, 1)
+        result = GradedPoly.const(self.p, 1, self.layout)
         base = self
         while n:
             if n & 1:
@@ -190,78 +248,33 @@ class GradedPoly:
 
     # -- structure queries --------------------------------------------
 
+    def items(self):
+        """The terms as ((v, t), coefficient) pairs, in no particular order."""
+        unpack = self.layout.unpack
+        return ((unpack(key), c) for key, c in self.terms.items())
+
     def pure_t_terms(self) -> dict[Exp, int | Fraction]:
         """Coefficients of the monomials involving only t generators."""
-        return {t: c for (v, t), c in self.terms.items() if not v}
+        shift = self.layout.shift
+        return {self.layout.part(k >> shift): c for k, c in self.terms.items()
+                if not k & (1 << shift) - 1}
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         parts = []
-        for key in sorted(self.terms, key=mono_sort_key):
+        for key in sorted(self.terms):  # packed keys order as mono_sort_key
             coeff = self.terms[key]
-            factors = []
-            for name, exps in zip(("v", "t"), key):
-                for i, e in enumerate(exps, start=1):
-                    if e == 1:
-                        factors.append(f"{name}_{i}")
-                    elif e > 1:
-                        factors.append(f"{name}_{i}^{e}")
-            body = "*".join(factors)
+            body = "*".join(f"{name}_{i}" + (f"^{e}" if e > 1 else "")
+                            for name, exps in zip("vt", self.layout.unpack(key))
+                            for i, e in enumerate(exps, start=1) if e)
             mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
+            text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
             parts.append(("- " if coeff < 0 else "+ ") + text)
         first = parts[0].removeprefix("+ ").replace("- ", "-", 1)
         return " ".join([first] + parts[1:])
 
     __repr__ = __str__
-
-
-def _layout(w: int, p: int) -> tuple[int, int]:
-    """(width, shift) of the packed keys of monomials of weight at most w:
-    fields of w.bit_length() bits, the t part above the v part's
-    max_generator_index(w, p) fields."""
-    width = w.bit_length()
-    return width, width * max_generator_index(w, p)
-
-
-@cache
-def _pack(exp: Exp, width: int) -> int:
-    """Exponent i of exp in bits [i*width, (i+1)*width) of one int, memoized
-    for the process."""
-    x = 0
-    for e in reversed(exp):
-        x = x << width | e
-    return x
-
-
-def _packed(terms: dict, width: int, shift: int) -> list[tuple[int, int | Fraction]]:
-    """(packed key, coefficient) per term: exponent i of v in bits
-    [i*width, (i+1)*width), exponent i of t from bit shift + i*width on.
-
-    For monomials of weight at most w, in the fields _layout(w, p) gives,
-    every exponent fits its field and every v fits below the t fields, so
-    packed keys order exactly as mono_sort_key: the t part is compared
-    first, and within a part a longer normalized sequence fills a higher
-    field, while sequences of one length compare from the highest index
-    down (right-lexicographically)."""
-    return [(_pack(v, width) | _pack(t, width) << shift, c) for (v, t), c in terms.items()]
-
-
-@cache
-def _unpack(x: int, width: int) -> Exp:
-    """The normalised exponent sequence that _pack(exp, width) packs into x,
-    memoized for the process, so equal sequences share one tuple."""
-    mask, parts = (1 << width) - 1, []
-    while x:
-        parts.append(x & mask)
-        x >>= width
-    return tuple(parts)
 
 
 def check_integrality(poly: GradedPoly):
@@ -270,44 +283,40 @@ def check_integrality(poly: GradedPoly):
     A reduced fraction has negative valuation exactly when p divides its
     denominator, so only denominators are tested.
     """
-    p = poly.p
-    offenders = sorted(
-        ((key, coeff) for key, coeff in poly.terms.items() if coeff.denominator % p == 0),
-        key=lambda kv: mono_sort_key(kv[0]),
-    )
-    return (not offenders), offenders
+    bad = sorted((key, c) for key, c in poly.terms.items() if c.denominator % poly.p == 0)
+    return (not bad), [(poly.layout.unpack(key), c) for key, c in bad]
 
 
 @lru_cache(maxsize=None)
-def hazewinkel_m(p: int, k: int) -> GradedPoly:
-    """p^k m_k, an integer polynomial in v_1, ..., v_k, for the rational
-    generator m_k: m_0 = 1 and p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}.
+def hazewinkel_m(p: int, k: int, layout: Layout | None = None) -> GradedPoly:
+    """p^k m_k, an integer polynomial in v_1, ..., v_k packed at layout, for
+    the rational generator m_k: m_0 = 1 and p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}.
     """
     if not is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     if k < 0:
         raise ValueError("index must be non-negative")
     if k == 0:
-        return GradedPoly.const(p, 1)
-    return GradedPoly.sum(p, (
-        hazewinkel_m(p, i) * p ** (k - 1 - i) * GradedPoly.v_mono(p, unit_exp(k - i)) ** (p**i)
-        for i in range(k)
-    ))
+        return GradedPoly.const(p, 1, layout)
+    return GradedPoly.sum(p, (hazewinkel_m(p, i, layout) * p ** (k - 1 - i)
+                              * GradedPoly.v_mono(p, unit_exp(k - i), layout) ** (p**i)
+                              for i in range(k)))
 
 
 def substitute_m(p: int, groups: dict[int, GradedPoly]) -> GradedPoly:
     """sum_a p^a m_a * groups[a], each p^a m_a written as its integer
-    v-polynomial: one product per generator."""
-    return GradedPoly.sum(p, (hazewinkel_m(p, a) * poly for a, poly in groups.items()))
+    v-polynomial at the layout of groups[a]: one product per generator."""
+    return GradedPoly.sum(p, (hazewinkel_m(p, a, poly.layout) * poly
+                              for a, poly in groups.items()))
 
 
 class EtaRTable:
     """Memoized values of the right unit on v-monomials, up to a weight bound.
 
     Entries are polynomials in v and t with ``int`` coefficients, homogeneous
-    of the weight of their key.  Population is deterministic; reads never
-    mutate existing entries, so a populated table is safe to share between
-    threads.
+    of the weight of their key, at the layout of the weight bound.
+    Population is deterministic; reads never mutate existing entries, so a
+    populated table is safe to share between threads.
     """
 
     def __init__(self, p: int, max_weight: int):
@@ -317,6 +326,7 @@ class EtaRTable:
             raise ValueError("max_weight must be non-negative")
         self.p = p
         self.max_weight = max_weight
+        self.layout = _layout(max_weight, p)
         self._cache: dict[Exp, GradedPoly] = {}
 
     # -- construction ---------------------------------------------------
@@ -327,13 +337,13 @@ class EtaRTable:
         built term by term, not as a product of stored values, so each of its
         terms is weighed; any other value is taken at its claimed weight."""
         w = weight(gamma, self.p)
-        weighed = poly.terms if gamma and gamma == unit_exp(len(gamma)) else ()
+        weighed = poly.items() if gamma and gamma == unit_exp(len(gamma)) else ()
         if (not poly.is_zero() and poly.weight != w
-                or any(mono_weight(key, self.p) != w for key in weighed)):
+                or any(mono_weight(key, self.p) != w for key, _ in weighed)):
             raise IntegralityError(f"eta_R(v^{gamma}) is not homogeneous of weight {w}")
-        if not all(type(c) is int for c in poly.terms.values()):
+        if not set(map(type, poly.terms.values())) <= {int}:
             raise _coefficient_error(gamma, "non-integer", [
-                (key, c) for key, c in poly.terms.items() if type(c) is not int])
+                (key, c) for key, c in poly.items() if type(c) is not int])
         self._cache[gamma] = poly
         return poly
 
@@ -345,19 +355,18 @@ class EtaRTable:
         powers = {i: self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)}
 
         def t_power(j, a, c):  # c * t_j^{p^a}, with t_0 = 1
-            return GradedPoly(p, {((), (0,) * (j - 1) + (p**a,) if j else ()): c})
+            return GradedPoly(p, {((), (0,) * (j - 1) + (p**a,) if j else ()): c}, self.layout)
 
         groups = {a: GradedPoly.sum(p, [t_power(k - a, a, p ** (k - a + 1))] + [
             t_power(i - a, a, -p ** (k - a)) * powers[i] for i in range(max(a, 1), k)
         ]) for a in range(k + 1)}
         scaled, q = substitute_m(p, groups), p**k
-        offenders = [(key, c) for key, c in scaled.terms.items() if c % q]
-        if offenders:
+        if any(c % q for c in scaled.terms.values()):
             from fractions import Fraction
             raise _coefficient_error(unit_exp(k), "non-integral",
-                                     [(key, Fraction(c, q)) for key, c in offenders])
+                                     [(key, Fraction(c, q)) for key, c in scaled.items() if c % q])
         quotient = {key: c // q for key, c in scaled.terms.items()}
-        return GradedPoly._trusted(p, quotient, scaled.weight)
+        return GradedPoly._trusted(p, quotient, scaled.weight, self.layout)
 
     def eta(self, gamma) -> GradedPoly:
         """eta_R(v^gamma), computed multiplicatively and memoized."""
@@ -367,17 +376,18 @@ class EtaRTable:
             return cached
         w = weight(gamma, self.p)
         if w > self.max_weight:
-            raise ValueError(
-                f"weight {w} exceeds the table bound {self.max_weight}"
-            )
-        if not gamma:
-            poly = GradedPoly.const(self.p, 1)
-        elif gamma == unit_exp(len(gamma)):
-            poly = self._eta_generator(len(gamma))
-        else:
-            top = unit_exp(len(gamma))
-            rest = normalize(gamma[:-1] + (gamma[-1] - 1,))
-            poly = self.eta(rest) * self.eta(top)
+            raise ValueError(f"weight {w} exceeds the table bound {self.max_weight}")
+        try:
+            if not gamma:
+                poly = GradedPoly.const(self.p, 1, self.layout)
+            elif gamma == unit_exp(len(gamma)):
+                poly = self._eta_generator(len(gamma))
+            else:
+                top = unit_exp(len(gamma))
+                rest = normalize(gamma[:-1] + (gamma[-1] - 1,))
+                poly = self.eta(rest) * self.eta(top)
+        except OverflowError as exc:  # raised by no product of weight <= max_weight
+            raise CarryError(f"eta_R(v^{gamma}): {exc}") from None
         return self._store(gamma, poly)
 
     def populate(self) -> "EtaRTable":
@@ -395,54 +405,41 @@ class EtaRTable:
         self.populate()
         entries = []
         for gamma in self.keys():
-            poly = self._cache[gamma]
-            terms = []
-            for v, t in sorted(poly.terms, key=mono_sort_key):
-                coeff = poly.terms[v, t]
-                terms.append(
-                    {
-                        "v_exponents": list(v),
-                        "t_exponents": list(t),
-                        "coefficient_numerator": str(coeff.numerator),
-                        "coefficient_denominator": str(coeff.denominator),
-                    }
-                )
+            terms = [{"v_exponents": list(v), "t_exponents": list(t),
+                      "coefficient_numerator": str(c.numerator),
+                      "coefficient_denominator": str(c.denominator)}
+                     for (v, t), c in sorted(self._cache[gamma].items(),
+                                             key=lambda kv: mono_sort_key(kv[0]))]
             entries.append({"v_exponents": list(gamma), "terms": terms})
-        return {
-            "prime": self.p,
-            "convention": CONVENTION,
-            "max_weight": self.max_weight,
-            "entries": entries,
-        }
+        return {"prime": self.p, "convention": CONVENTION, "max_weight": self.max_weight,
+                "entries": entries}
 
     def _pieces(self):
-        """The canonical document as (part, bytes) pieces, yielded one at a
-        time in order: the header, each entry v^gamma led by its separator,
-        and the end.  Terms are sorted by their packed keys at the table's
-        weight bound, which order as mono_sort_key (see _packed); each
-        distinct exponent is packed and rendered once."""
+        """The canonical document as (part, bytes-like) pieces, yielded one at
+        a time in order: the header, each entry v^gamma led by its separator,
+        and the end.  An entry is written term by term into one bytearray.
+        Terms are sorted by their stored keys, which order as mono_sort_key
+        (see Layout); each distinct v or t part is rendered once."""
         self.populate()
-        width, shift = _layout(self.max_weight, self.p)
-        exp = cache(lambda e: (_pack(e, width), _json_list(e, 10)))
+        shift = self.layout.shift
+        low = (1 << shift) - 1
+        text = cache(lambda x: _json_list(self.layout.part(x), 10))
         yield "the header", (f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
                              f'  "max_weight": {self.max_weight},\n  "entries": [').encode()
         sep = ""
         for gamma in self.keys():
-            rows = []
-            for (v, t), c in self._cache[gamma].terms.items():
-                (kv, v_text), (kt, t_text) = exp(v), exp(t)
-                rows.append((kv | kt << shift, v_text, t_text, c))
-            rows.sort(key=itemgetter(0))
-            rows = [
-                f'{{\n          "v_exponents": {v_text},\n'
-                f'          "t_exponents": {t_text},\n'
-                f'          "coefficient_numerator": "{c.numerator}",\n'
-                f'          "coefficient_denominator": "{c.denominator}"\n        }}'
-                for _, v_text, t_text, c in rows
-            ]
-            yield (f"entry v^{gamma}",
-                   (f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'
-                    f'      "terms": {_json_list(rows, 6)}\n    }}').encode())
+            data = bytearray(f'{sep}\n    {{\n      "v_exponents": {_json_list(gamma, 6)},\n'
+                             f'      "terms": ['.encode())
+            row_sep = "\n"
+            for k, c in sorted(self._cache[gamma].terms.items()):
+                data += (f'{row_sep}        {{\n          "v_exponents": {text(k & low)},\n'
+                         f'          "t_exponents": {text(k >> shift)},\n'
+                         f'          "coefficient_numerator": "{c.numerator}",\n'
+                         f'          "coefficient_denominator": "{c.denominator}"\n        }}'
+                         ).encode()
+                row_sep = ",\n"
+            data += b"]\n    }" if row_sep == "\n" else b"\n      ]\n    }"
+            yield f"entry v^{gamma}", data
             sep = ","
         yield "the end of the document", b"\n  ]\n}\n"
 
@@ -516,7 +513,9 @@ def coefficient_of_t(gamma, beta, table: EtaRTable) -> GradedPoly:
     Zero when t^beta does not occur; otherwise homogeneous of weight
     weight(gamma) - weight(beta).
     """
-    beta = normalize(beta)
-    poly = table.eta(gamma)
-    picked = {(v, ()): c for (v, t), c in poly.terms.items() if t == beta}
-    return GradedPoly(table.p, picked)
+    p, beta, poly = table.p, normalize(beta), table.eta(gamma)
+    layout = poly.layout
+    low = (1 << layout.shift) - 1
+    tb = layout.pack((), beta) if weight(beta, p) <= layout.bound else -1
+    picked = {k & low: c for k, c in poly.terms.items() if k & ~low == tb}
+    return GradedPoly._trusted(p, picked, weight(gamma, p) - weight(beta, p), layout)

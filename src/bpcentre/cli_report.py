@@ -25,6 +25,7 @@ from collections import namedtuple
 
 from .bp_hopf import (
     CONVENTION,
+    CarryError,
     EtaRTable,
     GradedPoly,
     IntegralityError,
@@ -417,8 +418,8 @@ def run_command(config: RunConfig, command: str, suite: str) -> int:
     """Load or build the table, print the command's report, return the exit code."""
     try:
         table, cache = load_or_build_table(config)
-    except IntegralityError as exc:
-        sys.stdout.write(f"FAIL integrality: {exc}\n")
+    except (IntegralityError, CarryError) as exc:
+        sys.stdout.write(f"FAIL {type(exc).__name__.removesuffix('Error').lower()}: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:
         sys.stdout.write(f"FAIL cache: {exc}\n")

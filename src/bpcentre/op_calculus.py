@@ -25,9 +25,9 @@ import functools
 import weakref
 from types import MappingProxyType
 
-from .bp_hopf import EtaRTable, GradedPoly, coefficient_of_t
+from .bp_hopf import EtaRTable, coefficient_of_t
 from .dvr_arith import Matrix, Vector, is_integral, valuation
-from .monomial_order import enumerate_weight, normalize, weight
+from .monomial_order import add, enumerate_weight, normalize, weight
 
 _PER_TABLE: "weakref.WeakKeyDictionary[EtaRTable, dict]" = weakref.WeakKeyDictionary()
 
@@ -80,12 +80,11 @@ def action_matrix(alpha, beta, r: int, table: EtaRTable) -> Matrix:
         )
     basis = tuple(enumerate_weight(r, p))
     index = {a: i for i, a in enumerate(basis)}
-    value = GradedPoly.v_mono(p, alpha)
     cols = []
     for gamma in basis:
         col = [0] * len(basis)
-        for (v, _), c in (value * coefficient_of_t(gamma, beta, table)).terms.items():
-            col[index[v]] = c
+        for (v, _), c in coefficient_of_t(gamma, beta, table).items():
+            col[index[add(alpha, v)]] = c
         cols.append(col)
     return tuple(zip(*cols))
 

@@ -128,7 +128,7 @@ def phi_window_lattice(N: int, n: int, table: EtaRTable) -> DvrLattice:
         rhs = {alpha: [[(1, (0,) * r + (1,), 0)] if beta == alpha else [] for beta in split.basis]
                for alpha in split.r_basis}
         for j, gamma in enumerate(split.basis):
-            for (a, beta), c in table.eta(gamma).terms.items():
+            for (a, beta), c in table.eta(gamma).items():
                 if a and not in_ideal(a, n):
                     for alpha in r_bases[weight(beta, p)]:
                         rhs[add(a, alpha)][j].append((-c, *forms[alpha, beta]))

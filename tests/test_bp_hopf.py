@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ import pytest
 import sympy
 
 from bpcentre.bp_hopf import (
+    CarryError,
     EtaRTable,
     GradedPoly,
     IntegralityError,
     _layout,
-    _packed,
     check_integrality,
     coefficient_of_t,
     hazewinkel_m,
@@ -65,7 +66,7 @@ def poly_to_sympy(poly):
     v = {i: sympy.Symbol(f"v{i}") for i in range(1, kmax)}
     t = {i: sympy.Symbol(f"t{i}") for i in range(1, kmax)}
     total = sympy.Integer(0)
-    for (vexp, texp), c in poly.terms.items():
+    for (vexp, texp), c in poly.items():
         term = sympy.Rational(c.numerator, c.denominator)
         for i, e in enumerate(vexp, start=1):
             term *= v[i] ** e
@@ -181,7 +182,7 @@ def test_check_integrality():
     ok, offenders = check_integrality(mixed)
     assert not ok
     assert sorted(offenders) == sorted(
-        (key, c) for key, c in mixed.terms.items() if valuation(c, 3) < 0)
+        (key, c) for key, c in mixed.items() if valuation(c, 3) < 0)
     assert offenders == [(((2,), ()), Fraction(1, 3)), (((1,), (1,)), Fraction(2, 9))]
 
 
@@ -429,17 +430,23 @@ def test_load_compares_the_largest_entry_past_64_kib(tmp_path):
 # the direct cache writer
 # ---------------------------------------------------------------------------
 
-# SHA-256 of the cache documents pinned by the benchmark (bench/pins.json).
+# SHA-256 of cache documents.  The first four are the benchmark's pins
+# (bench/pins.json).  The last three are not in bench/pins.json: they pin the
+# bounds W = 2^k - 1, where v_1^W and t_1^W fill their field.
 PINNED_FINGERPRINTS = {
     (3, 13): "73ce6a895686d82f285b44999f3257edb1d3b1d9d51b51e076dd6522f4d5c17e",
     (3, 16): "c25337f6f7fa7bbfaed305dfa95edf9becd381549382d6b23545ad9e62d8db3b",
     (3, 20): "f29bdb6ab2286b1ed83448d59ca59cc17d71da88388279509d67e988413c6ce7",
     (5, 31): "2770de0c8204d3b2232c7507869592d515ebe5501f4b70d871c93d35f530e243",
+    (3, 7): "9201707c80a1b4dca316fac37c06ab67e2d099de35c005bb9c2c55f5955d965c",
+    (3, 15): "10e2d6cf27c37f93e9283f5eed2d7ef0bd74083227b2a7a3037395a79d10c84e",
+    (3, 31): "ae8fc0d26fdc479b7d91736c5d1dd8341083b18cbebb542e5fd0b1f633d2f0c8",
 }
 
 
 @pytest.mark.parametrize("p,max_weight", [
-    (3, 0), (3, 1), (3, 13), (3, 20), (5, 0), (5, 14), (5, 31), (7, 20),
+    (3, 0), (3, 1), (3, 7), (3, 13), (3, 15), (3, 20), (3, 31), (5, 0), (5, 14), (5, 31),
+    (7, 20),
 ])
 def test_direct_writer_matches_json_encoder(p, max_weight):
     table = EtaRTable(p, max_weight).populate()
@@ -472,16 +479,16 @@ def random_poly(rng, p, w, size):
 
 
 def raw_sum(a, b, sign=1):
-    out = dict(a.terms)
-    for key, c in b.terms.items():
+    out = dict(a.items())
+    for key, c in b.items():
         out[key] = out.get(key, Fraction(0)) + sign * c
     return out
 
 
 def raw_product(a, b):
     out = {}
-    for (v1, t1), c1 in a.terms.items():
-        for (v2, t2), c2 in b.terms.items():
+    for (v1, t1), c1 in a.items():
+        for (v2, t2), c2 in b.items():
             key = (add(v1, v2), add(t1, t2))
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return out
@@ -502,13 +509,13 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
         b = random_poly(rng, p, wb, rng.randint(0, 6))
         a2 = random_poly(rng, p, wa, rng.randint(0, 6))
         # a partial cancellation: a2 shares some of a's terms with opposite sign
-        a2 = GradedPoly.sum(p, [a2, GradedPoly(p, {k: -c for k, c in list(a.terms.items())[::2]})])
+        a2 = GradedPoly.sum(p, [a2, GradedPoly(p, {k: -c for k, c in list(a.items())[::2]})])
         assert same(GradedPoly.sum(p, [a, a2]), GradedPoly(p, raw_sum(a, a2)))
         assert same(GradedPoly.sum(p, [a, a2 * -1]), GradedPoly(p, raw_sum(a, a2, -1)))
-        assert same(a * -1, GradedPoly(p, {k: -c for k, c in a.terms.items()}))
+        assert same(a * -1, GradedPoly(p, {k: -c for k, c in a.items()}))
         assert same(a * b, GradedPoly(p, raw_product(a, b)))
         for scalar in (0, 1, -p, Fraction(2, p)):
-            expected = GradedPoly(p, {k: c * scalar for k, c in a.terms.items()})
+            expected = GradedPoly(p, {k: c * scalar for k, c in a.items()})
             assert same(a * scalar, expected) and same(scalar * a, expected)
         n = rng.randint(0, 3)
         expected = GradedPoly.const(p, 1)
@@ -525,9 +532,9 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
 def test_scalar_product_takes_int_and_fraction_only():
     a = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
     third = a * Fraction(1, 3)
-    assert third.terms == {((1,), ()): Fraction(1, 3), ((), (1,)): 1}
-    assert type(third.terms[((1,), ())]) is Fraction
-    assert (a * 2).terms == {((1,), ()): 2, ((), (1,)): 6}
+    assert dict(third.items()) == {((1,), ()): Fraction(1, 3), ((), (1,)): 1}
+    assert type(dict(third.items())[((1,), ())]) is Fraction
+    assert dict((a * 2).items()) == {((1,), ()): 2, ((), (1,)): 6}
     assert a.__mul__(0.5) is NotImplemented
     for bad in (lambda: a * 0.5, lambda: 0.5 * a, lambda: a * "2"):
         with pytest.raises(TypeError):
@@ -578,29 +585,34 @@ def test_packed_product_with_unequal_lengths():
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_packed_product_exponents_that_fill_a_field(k):
-    # a + b = 2^k - 1 is the largest exponent a field of k bits holds; a carry
-    # out of the v field would land in the t field.
+    # a + b = 2^k - 1 is the largest exponent a field of k bits holds, at the
+    # layout of weight 2^k - 1; a carry out of the v field would land in the
+    # t field.
+    layout = _layout(2**k - 1, 3)
+    assert layout.bits == k
     for a in range(1, 2**k - 1):
         b = 2**k - 1 - a
-        x = GradedPoly(3, {((a,), ()): 1, ((), (a,)): 2})
-        y = GradedPoly(3, {((b,), ()): 1, ((), (b,)): -1})
-        assert x * y == GradedPoly(3, raw_product(x, y))
-        assert (x * y).terms[(2**k - 1,), ()] == 1
-        assert (x * y).terms[(), (2**k - 1,)] == -2
+        x = GradedPoly(3, {((a,), ()): 1, ((), (a,)): 2}, layout)
+        y = GradedPoly(3, {((b,), ()): 1, ((), (b,)): -1}, layout)
+        assert x * y == GradedPoly(3, raw_product(x, y), layout)
+        assert dict((x * y).items())[(2**k - 1,), ()] == 1
+        assert dict((x * y).items())[(), (2**k - 1,)] == -2
 
 
 @pytest.mark.parametrize("max_weight", [1, 7, 8, 13, 20, 31, 32])
 def test_packed_keys_of_every_monomial_up_to_the_bound(max_weight):
     """Every (v, t) monomial of weight <= W at p=3, among them v_1^W and
     t_1^W, whose exponent W is the largest a field holds (all of it at
-    W = 2^k - 1): in the fields the table's serializer uses, their packed
-    keys are distinct and order them as mono_sort_key."""
+    W = 2^k - 1): at the table's layout their keys are distinct, unpack to
+    them, have no guard bit set and order them as mono_sort_key."""
     monos = [(v, t) for r in range(max_weight + 1) for s in range(r + 1)
              for v in enumerate_weight(s, 3) for t in enumerate_weight(r - s, 3)]
     assert ((max_weight,), ()) in monos and ((), (max_weight,)) in monos
-    keyed = _packed(dict.fromkeys(monos, 1), *_layout(max_weight, 3))
-    packed = dict(zip(monos, (k for k, _ in keyed)))
+    layout = _layout(max_weight, 3)
+    packed = {mono: layout.pack(*mono) for mono in monos}
     assert len(set(packed.values())) == len(packed)
+    assert all(layout.unpack(key) == mono for mono, key in packed.items())
+    assert not any(key & layout.guard for key in packed.values())
     assert sorted(packed, key=packed.get) == sorted(packed, key=mono_sort_key)
 
 
@@ -611,7 +623,9 @@ def test_store_refuses_non_integer_coefficients():
             "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 7/2")):
         table._store((1,), bad)
     # An integral Fraction is refused too: the table converts nothing.
-    integral = GradedPoly._trusted(3, {((1,), ()): 1, ((), (1,)): Fraction(3)}, 1)
+    layout = table.layout
+    integral = GradedPoly._trusted(
+        3, {layout.pack((1,), ()): 1, layout.pack((), (1,)): Fraction(3)}, 1, layout)
     with pytest.raises(IntegralityError, match=re.escape(
             "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 3")):
         table._store((1,), integral)
@@ -649,14 +663,51 @@ def test_planted_non_integral_coefficient_fails_populate(monkeypatch):
 
     real = bp_hopf.hazewinkel_m
     for k in range(3):
-        real(3, k)  # memoized, so the patched recursion below never reaches it
+        real(3, k, _layout(4, 3))  # memoized, so the patched recursion below never reaches it
 
-    def without_one_over_p(p, k):
+    def without_one_over_p(p, k, layout):
         # m_1 = v_1 instead of v_1/p: eta_R(v_2) keeps a v_1^4/3 term
-        return real(p, k) * p if k == 1 else real(p, k)
+        return real(p, k, layout) * p if k == 1 else real(p, k, layout)
 
     EtaRTable(3, 4).populate()
     monkeypatch.setattr(bp_hopf, "hazewinkel_m", without_one_over_p)
     EtaRTable(3, 3).populate()  # eta_R(v_1) = 3*v_1 + 3*t_1: wrong, but integral
     with pytest.raises(IntegralityError, match=r"eta_R\(v\^\(0, 1\)\)"):
         EtaRTable(3, 4).populate()
+
+
+# ---------------------------------------------------------------------------
+# one layout per table, and the carry guard
+# ---------------------------------------------------------------------------
+
+def test_every_value_and_intermediate_shares_the_tables_layout():
+    table = EtaRTable(3, 20).populate()
+    assert table.layout == _layout(20, 3)
+    assert all(table.eta(gamma).layout == table.layout for gamma in table.keys())
+    for k in range(4):
+        assert hazewinkel_m(3, k, table.layout).layout == table.layout
+        assert hazewinkel_m(3, k, table.layout) == hazewinkel_m(3, k)
+
+
+def test_a_layout_one_bit_too_narrow_fails_at_once(narrow_layouts):
+    """At p=3 W=15 fields of 3 bits hold exponents up to 7: the first product
+    that reaches 8, v_1^7 * v_1, sets a guard bit and the build stops there,
+    naming the entry."""
+    table = EtaRTable(3, 15)
+    start = time.monotonic()
+    with pytest.raises(CarryError, match=re.escape(
+            "eta_R(v^(8,)): a product of weight 8 overflows the fields of Layout(bound=15, bits=3")):
+        table.populate()
+    assert time.monotonic() - start < 2
+    assert max(weight(gamma, 3) for gamma in table._cache) == 7
+
+
+def test_the_guard_bit_is_exact():
+    # at the layout of weight 7 (fields of 3 bits), v_1^7 fits and v_1^8 does not
+    layout = _layout(7, 3)
+    v1, v1_6 = (GradedPoly.v_mono(3, (e,), layout) for e in (1, 6))
+    assert dict((v1 * v1_6).items()) == {((7,), ()): 1}
+    with pytest.raises(OverflowError, match="a product of weight 8 overflows"):
+        v1 * v1_6 * v1
+    with pytest.raises(OverflowError, match=re.escape("((8,), ()) does not fit")):
+        GradedPoly.v_mono(3, (8,), layout)

@@ -813,9 +813,9 @@ def test_planted_non_integral_coefficient_fails_eta_table(tmp_path, capsys, monk
 
     real = bp_hopf.hazewinkel_m
     for k in range(3):
-        real(3, k)  # memoized, so the patched recursion below never reaches it
-    monkeypatch.setattr(bp_hopf, "hazewinkel_m",
-                        lambda p, k: real(p, k) * p if k == 1 else real(p, k))
+        real(3, k, bp_hopf._layout(4, 3))  # memoized, so the patched recursion below never reaches it
+    monkeypatch.setattr(bp_hopf, "hazewinkel_m", lambda p, k, layout: (
+        real(p, k, layout) * p if k == 1 else real(p, k, layout)))
     code, out = run_cli(capsys, ["eta-table", "--p", "3", "--max-weight", "4",
                                  "--cache", str(tmp_path / "cache")])
     assert code == 1
@@ -834,7 +834,7 @@ def test_an_integrality_offender_fails_its_check(tmp_path, capsys, monkeypatch):
     def planted(poly):
         if poly.weight != 2:
             return real(poly)
-        return False, [(min(poly.terms), Fraction(1, 3))]
+        return False, [(min(key for key, _ in poly.items()), Fraction(1, 3))]
 
     monkeypatch.setattr(cli_report, "check_integrality", planted)
     argv = ["verify", "etaR", "--p", "3", "--max-weight", "4",
@@ -852,9 +852,9 @@ def test_an_integrality_offender_fails_its_check(tmp_path, capsys, monkeypatch):
 def test_a_wrong_right_unit_fails_the_counit_check(tmp_path, capsys, monkeypatch):
     # eta_R(v_1) planted as 2*v_1 + 3*t_1: t -> 0 leaves 2*v_1, and 4*v_1^2 at
     # weight 2, so the exact value and the counit at both weights FAIL.
-    from bpcentre.bp_hopf import GradedPoly
+    from bpcentre.bp_hopf import GradedPoly, _layout
 
-    planted = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3})
+    planted = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3}, _layout(2, 3))
     real = EtaRTable._eta_generator
     monkeypatch.setattr(EtaRTable, "_eta_generator",
                         lambda self, k: planted if k == 1 else real(self, k))

@@ -27,6 +27,7 @@ NEVER_CALLED = {
     "bp_hopf.EtaRTable.to_bytes": ORACLE,
     "bp_hopf.EtaRTable.fingerprint": TRACED,
     "bp_hopf._coefficient_error": "an error path: a right-unit value that is not integral",
+    "bp_hopf.mono_sort_key": ORACLE,
     "dvr_arith.mat_mul": ORACLE,
     "dvr_arith.reduce_mod_p_power": ORACLE,
     "monomial_order.compare": ORACLE,

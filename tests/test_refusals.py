@@ -1,13 +1,14 @@
 """Each guard against a malformed argument refuses it, with its message.
 
 These are the safety paths that the commands never take on valid input:
-the immutability guard, mixed primes, a negative power, index and bound
-checks, shape mismatches and a vanishing diagonal.
+the immutability guard, mixed primes and layouts, a monomial that does not
+fit its layout, a negative power, index and bound checks, shape mismatches
+and a vanishing diagonal.
 """
 
 import pytest
 
-from bpcentre.bp_hopf import EtaRTable, GradedPoly, hazewinkel_m
+from bpcentre.bp_hopf import EtaRTable, GradedPoly, _layout, hazewinkel_m
 from bpcentre.cli_report import main
 from bpcentre.dvr_arith import commutant, integral_kernel, mat_mul
 from bpcentre.ktheory_lattice import sg_window
@@ -24,6 +25,12 @@ REFUSALS = {
     "sum-mixed-primes": (lambda: GradedPoly.sum(3, [one(3), one(5)]), ValueError,
                          "mixed primes"),
     "mul-mixed-primes": (lambda: one(3) * one(5), ValueError, "mixed primes"),
+    "sum-mixed-layouts": (lambda: GradedPoly.sum(3, [one(3), GradedPoly.const(3, 1, _layout(4, 3))]),
+                          ValueError, "mixed primes or layouts"),
+    "mul-mixed-layouts": (lambda: one(3) * GradedPoly.const(3, 1, _layout(4, 3)), ValueError,
+                          "mixed primes or layouts"),
+    "pack-past-the-fields": (lambda: GradedPoly.v_mono(3, (0, 1), _layout(3, 3)), OverflowError,
+                             r"\(\(0, 1\), \(\)\) does not fit the fields of Layout\(bound=3"),
     "negative-power": (lambda: one(3) ** -1, ValueError, "negative power"),
     "hazewinkel-negative-index": (lambda: hazewinkel_m(3, -1), ValueError,
                                   "index must be non-negative"),
@@ -63,7 +70,9 @@ def test_str_of_a_constant(c, text):
 def test_inhomogeneous_generator_fails_eta_table(tmp_path, capsys, monkeypatch):
     # eta_R(v_1) planted as v_1 + v_2, weights 1 and 4, claiming weight 4:
     # _store refuses it, and the command says so without writing a cache.
-    planted = GradedPoly._trusted(3, {((1,), ()): 1, ((0, 1), ()): 1}, 4)
+    layout = _layout(4, 3)
+    planted = GradedPoly._trusted(
+        3, {layout.pack((1,), ()): 1, layout.pack((0, 1), ()): 1}, 4, layout)
     monkeypatch.setattr(EtaRTable, "_eta_generator", lambda self, k: planted)
     code = main(["eta-table", "--p", "3", "--max-weight", "4",
                  "--cache", str(tmp_path / "cache")])
@@ -75,8 +84,12 @@ def test_inhomogeneous_generator_fails_eta_table(tmp_path, capsys, monkeypatch):
 
 def test_generator_with_a_term_of_another_weight_fails_eta_table(tmp_path, capsys, monkeypatch):
     # eta_R(v_1) planted as v_1 + v_2 claiming weight 1, the weight of v_1:
-    # a generator's terms are each weighed, so v_2 (weight 4) is refused.
-    planted = GradedPoly._trusted(3, {((1,), ()): 1, ((0, 1), ()): 1}, 1)
+    # a generator's terms are each weighed, so v_2 (weight 4) is refused.  The
+    # table's layout (weight 3) has no field for v_2, so the plant is packed
+    # at the layout of weight 4.
+    layout = _layout(4, 3)
+    planted = GradedPoly._trusted(
+        3, {layout.pack((1,), ()): 1, layout.pack((0, 1), ()): 1}, 1, layout)
     real = EtaRTable._eta_generator
     monkeypatch.setattr(EtaRTable, "_eta_generator",
                         lambda self, k: planted if k == 1 else real(self, k))
@@ -85,4 +98,17 @@ def test_generator_with_a_term_of_another_weight_fails_eta_table(tmp_path, capsy
     assert code == 1
     assert capsys.readouterr().out == (
         "FAIL integrality: eta_R(v^(1,)) is not homogeneous of weight 1\n")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_a_layout_one_bit_too_narrow_fails_the_command(tmp_path, capsys, narrow_layouts):
+    # verify all at p=3 W=15 with fields one bit too narrow: the build stops at
+    # the first product that outgrows a field, and the command says so with
+    # exit 1, without writing a cache.
+    code = main(["verify", "all", "--p", "3", "--max-weight", "15",
+                 "--cache", str(tmp_path / "cache")])
+    assert code == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL carry: eta_R(v^(8,)): a product of weight 8 overflows the fields of "
+        "Layout(bound=15, bits=3, ")
     assert not (tmp_path / "cache").exists()
