@@ -33,8 +33,15 @@ from functools import cache, lru_cache, reduce
 from operator import or_
 
 from .dvr_arith import is_odd_prime
-from .monomial_order import (Exp, enumerate_weight, max_generator_index, normalize, sort_key,
-                             unit_exp, weight)
+from .monomial_order import (
+    Exp,
+    enumerate_weight,
+    max_generator_index,
+    normalize,
+    sort_key,
+    unit_exp,
+    weight,
+)
 
 # A mixed monomial: exponent sequences for the v and t generators.
 Mono = tuple[Exp, Exp]
@@ -42,10 +49,6 @@ Mono = tuple[Exp, Exp]
 MONO_ONE: Mono = ((), ())
 
 CONVENTION = "hazewinkel"
-
-# The weight bound of the layout of a polynomial built without one: fields of
-# 6 bits, so any product of two polynomials of weight at most 31 fits.
-DEFAULT_BOUND = 63
 
 
 class IntegralityError(ArithmeticError):
@@ -68,12 +71,13 @@ def mono_sort_key(key: Mono):
     return (sort_key(t), sort_key(v))
 
 
-class Layout(namedtuple("Layout", "bound bits shift guard")):
+class Layout(namedtuple("Layout", "bound bits shift low guard")):
     """The packing of the monomials of weight at most bound into int keys.
 
     Fields are bits + 1 bits wide, bits = bound.bit_length(): exponent i of v
     fills field i, and exponent i of t field i from bit shift on, above the
-    max_generator_index(bound, p) fields of v.  The top bit of each field is
+    max_generator_index(bound, p) fields of v, so key & low is the v part
+    and key >> shift the t part.  The top bit of each field is
     a guard, clear in every key.  Every generator has weight >= 1, so no
     exponent of a monomial of weight at most bound exceeds bound < 2^bits.
     Adding two keys adds exponents field by field, and two exponents below
@@ -106,15 +110,16 @@ class Layout(namedtuple("Layout", "bound bits shift guard")):
 
     def unpack(self, key: int) -> Mono:
         """The (v, t) monomial of a key."""
-        return self.part(key & (1 << self.shift) - 1), self.part(key >> self.shift)
+        return self.part(key & self.low), self.part(key >> self.shift)
 
 
 @cache
 def _layout(bound: int, p: int) -> Layout:
     """The layout of the monomials of weight at most bound at p (see Layout)."""
     bits, fields = bound.bit_length(), max_generator_index(bound, p)
+    shift = fields * (bits + 1)
     guard = sum(1 << (i + 1) * (bits + 1) - 1 for i in range(2 * fields))
-    return Layout(bound, bits, fields * (bits + 1), guard)
+    return Layout(bound, bits, shift, (1 << shift) - 1, guard)
 
 
 class GradedPoly:
@@ -124,15 +129,14 @@ class GradedPoly:
     packed at the polynomial's layout, to non-zero coefficients, ``int`` or
     ``Fraction``, and all stored terms share one total weight.  The public
     constructor takes (v, t) monomials, stores integral values as ``int``
-    and packs at the given layout, by default _layout(DEFAULT_BOUND, p).
-    Products and sums need one layout and never unpack a key; :meth:`items`
-    reads the terms with their exponents.
+    and packs them at the given layout.  Products and sums need one layout
+    and never unpack a key; :meth:`items` reads the terms with their
+    exponents.
     """
 
     __slots__ = ("p", "terms", "weight", "layout")
 
-    def __init__(self, p: int, terms, layout: Layout | None = None):
-        layout = layout or _layout(DEFAULT_BOUND, p)
+    def __init__(self, p: int, terms, layout: Layout):
         clean: dict[int, int | Fraction] = {}
         w = None
         for (v, t), coeff in terms.items():
@@ -160,11 +164,11 @@ class GradedPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def const(cls, p: int, c, layout: Layout | None = None) -> "GradedPoly":
+    def const(cls, p: int, c, layout: Layout) -> "GradedPoly":
         return cls(p, {MONO_ONE: c}, layout)
 
     @classmethod
-    def v_mono(cls, p: int, alpha: Exp, layout: Layout | None = None) -> "GradedPoly":
+    def v_mono(cls, p: int, alpha: Exp, layout: Layout) -> "GradedPoly":
         return cls(p, {(alpha, ()): 1}, layout)
 
     # -- ring structure -----------------------------------------------
@@ -188,7 +192,7 @@ class GradedPoly:
 
     @classmethod
     def sum(cls, p: int, polys) -> "GradedPoly":
-        """The sum of polynomials of one weight and layout, accumulated in one dict."""
+        """The sum of one or more polynomials of one weight and layout, in one dict."""
         out: dict[int, int | Fraction] = {}
         weights, layout = set(), None
         for poly in polys:
@@ -202,7 +206,7 @@ class GradedPoly:
         if len(weights) > 1:
             raise ValueError(f"inhomogeneous terms: weights {sorted(weights)}")
         return cls._trusted(p, {k: c for k, c in out.items() if c}, min(weights, default=None),
-                            layout or _layout(DEFAULT_BOUND, p))
+                            layout)
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -255,9 +259,8 @@ class GradedPoly:
 
     def pure_t_terms(self) -> dict[Exp, int | Fraction]:
         """Coefficients of the monomials involving only t generators."""
-        shift = self.layout.shift
-        return {self.layout.part(k >> shift): c for k, c in self.terms.items()
-                if not k & (1 << shift) - 1}
+        part, shift, low = self.layout.part, self.layout.shift, self.layout.low
+        return {part(k >> shift): c for k, c in self.terms.items() if not k & low}
 
     def __str__(self) -> str:
         if not self.terms:
@@ -265,11 +268,21 @@ class GradedPoly:
         parts = []
         for key in sorted(self.terms):  # packed keys order as mono_sort_key
             coeff = self.terms[key]
-            body = "*".join(f"{name}_{i}" + (f"^{e}" if e > 1 else "")
-                            for name, exps in zip("vt", self.layout.unpack(key))
-                            for i, e in enumerate(exps, start=1) if e)
+            factors = []
+            for name, exps in zip(("v", "t"), self.layout.unpack(key)):
+                for i, e in enumerate(exps, start=1):
+                    if e == 1:
+                        factors.append(f"{name}_{i}")
+                    elif e > 1:
+                        factors.append(f"{name}_{i}^{e}")
+            body = "*".join(factors)
             mag = abs(coeff)
-            text = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+            if not body:
+                text = str(mag)
+            elif mag == 1:
+                text = body
+            else:
+                text = f"{mag}*{body}"
             parts.append(("- " if coeff < 0 else "+ ") + text)
         first = parts[0].removeprefix("+ ").replace("- ", "-", 1)
         return " ".join([first] + parts[1:])
@@ -288,7 +301,7 @@ def check_integrality(poly: GradedPoly):
 
 
 @lru_cache(maxsize=None)
-def hazewinkel_m(p: int, k: int, layout: Layout | None = None) -> GradedPoly:
+def hazewinkel_m(p: int, k: int, layout: Layout) -> GradedPoly:
     """p^k m_k, an integer polynomial in v_1, ..., v_k packed at layout, for
     the rational generator m_k: m_0 = 1 and p*m_k = sum_{0<=i<k} m_i v_{k-i}^{p^i}.
     """
@@ -376,7 +389,9 @@ class EtaRTable:
             return cached
         w = weight(gamma, self.p)
         if w > self.max_weight:
-            raise ValueError(f"weight {w} exceeds the table bound {self.max_weight}")
+            raise ValueError(
+                f"weight {w} exceeds the table bound {self.max_weight}"
+            )
         try:
             if not gamma:
                 poly = GradedPoly.const(self.p, 1, self.layout)
@@ -405,14 +420,24 @@ class EtaRTable:
         self.populate()
         entries = []
         for gamma in self.keys():
-            terms = [{"v_exponents": list(v), "t_exponents": list(t),
-                      "coefficient_numerator": str(c.numerator),
-                      "coefficient_denominator": str(c.denominator)}
-                     for (v, t), c in sorted(self._cache[gamma].items(),
-                                             key=lambda kv: mono_sort_key(kv[0]))]
+            terms = []
+            for (v, t), coeff in sorted(self._cache[gamma].items(),
+                                        key=lambda kv: mono_sort_key(kv[0])):
+                terms.append(
+                    {
+                        "v_exponents": list(v),
+                        "t_exponents": list(t),
+                        "coefficient_numerator": str(coeff.numerator),
+                        "coefficient_denominator": str(coeff.denominator),
+                    }
+                )
             entries.append({"v_exponents": list(gamma), "terms": terms})
-        return {"prime": self.p, "convention": CONVENTION, "max_weight": self.max_weight,
-                "entries": entries}
+        return {
+            "prime": self.p,
+            "convention": CONVENTION,
+            "max_weight": self.max_weight,
+            "entries": entries,
+        }
 
     def _pieces(self):
         """The canonical document as (part, bytes-like) pieces, yielded one at
@@ -421,8 +446,7 @@ class EtaRTable:
         Terms are sorted by their stored keys, which order as mono_sort_key
         (see Layout); each distinct v or t part is rendered once."""
         self.populate()
-        shift = self.layout.shift
-        low = (1 << shift) - 1
+        shift, low = self.layout.shift, self.layout.low
         text = cache(lambda x: _json_list(self.layout.part(x), 10))
         yield "the header", (f'{{\n  "prime": {self.p},\n  "convention": "{CONVENTION}",\n'
                              f'  "max_weight": {self.max_weight},\n  "entries": [').encode()
@@ -515,7 +539,6 @@ def coefficient_of_t(gamma, beta, table: EtaRTable) -> GradedPoly:
     """
     p, beta, poly = table.p, normalize(beta), table.eta(gamma)
     layout = poly.layout
-    low = (1 << layout.shift) - 1
     tb = layout.pack((), beta) if weight(beta, p) <= layout.bound else -1
-    picked = {k & low: c for k, c in poly.terms.items() if k & ~low == tb}
+    picked = {k & layout.low: c for k, c in poly.terms.items() if k & ~layout.low == tb}
     return GradedPoly._trusted(p, picked, weight(gamma, p) - weight(beta, p), layout)

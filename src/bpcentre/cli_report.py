@@ -149,7 +149,7 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
     expected_v1 = GradedPoly(p, {
         ((1,), ()): 1,
         ((), (1,)): p,
-    })
+    }, table.layout)
     got = table.eta((1,))
     _check(checks, "eta-v1-exact", got == expected_v1, f"eta_R(v_1) = {got}")
 
@@ -168,8 +168,8 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
     for r in range(config.max_weight + 1):
         # Pure-t terms have weight r: row i of mu holds all of eta_R(v^basis[i]).
         basis, faults = triangular_faults(r, table)
-        counit_ok = all(coefficient_of_t(gamma, (), table) == GradedPoly.v_mono(p, gamma)
-                        for gamma in basis)
+        counit_ok = all(coefficient_of_t(gamma, (), table)
+                        == GradedPoly.v_mono(p, gamma, table.layout) for gamma in basis)
         _check(checks, f"top-term/w={r}", not faults,
                f"top pure-t coefficient is p^(sum gamma) on {len(basis)} monomials")
         _check(checks, f"counit/w={r}", counit_ok,

@@ -26,7 +26,8 @@ def narrow_layouts(monkeypatch):
     def narrowed(bound, p):
         bits, fields = bound.bit_length() - 1, max_generator_index(bound, p)
         guard = sum(1 << (i + 1) * (bits + 1) - 1 for i in range(2 * fields))
-        return Layout(bound, bits, fields * (bits + 1), guard)
+        shift = fields * (bits + 1)
+        return Layout(bound, bits, shift, (1 << shift) - 1, guard)
 
     monkeypatch.setattr(bp_hopf, "_layout", narrowed)
 

@@ -43,7 +43,7 @@ def test_criterion_1_eta_integrity():
     assert table.eta((1,)) == GradedPoly(3, {
         ((1,), ()): Fraction(1),
         ((), (1,)): Fraction(3),
-    })
+    }, table.layout)
 
     for gamma in table.keys():
         pure = table.eta(gamma).pure_t_terms()

@@ -25,6 +25,10 @@ from bpcentre.bp_hopf import (
 from bpcentre.dvr_arith import valuation
 from bpcentre.monomial_order import add, enumerate_weight, sort_key, unit_exp, weight
 
+# The layout of the polynomials these tests build outside a table: fields of
+# 6 bits, so a product of two polynomials of weight at most 31 fits.
+AT = {p: _layout(63, p) for p in (3, 5, 7)}
+
 
 # ---------------------------------------------------------------------------
 # independent oracle: the same recursions evaluated by sympy
@@ -80,7 +84,7 @@ def poly_to_sympy(poly):
 def test_hazewinkel_m_against_sympy(p, kmax):
     _, _, m = sympy_generators(p, kmax)
     for k in range(kmax + 1):
-        ours = poly_to_sympy(hazewinkel_m(p, k))  # p^k m_k
+        ours = poly_to_sympy(hazewinkel_m(p, k, AT[p]))  # p^k m_k
         assert sympy.expand(ours - p**k * m[k]) == 0, (p, k)
 
 
@@ -99,28 +103,28 @@ def test_eta_generators_against_sympy(p, kmax):
 
 def test_hazewinkel_m_small():
     # p^k m_k: m_1 = v_1/p, m_2 = v_2/p + v_1^(p+1)/p^2
-    assert hazewinkel_m(3, 0) == GradedPoly.const(3, 1)
-    assert hazewinkel_m(3, 1) == GradedPoly(3, {((1,), ()): 1})
-    assert hazewinkel_m(3, 2) == GradedPoly(3, {((0, 1), ()): 3, ((4,), ()): 1})
-    assert hazewinkel_m(5, 2) == GradedPoly(5, {((0, 1), ()): 5, ((6,), ()): 1})
+    assert hazewinkel_m(3, 0, AT[3]) == GradedPoly.const(3, 1, AT[3])
+    assert hazewinkel_m(3, 1, AT[3]) == GradedPoly(3, {((1,), ()): 1}, AT[3])
+    assert hazewinkel_m(3, 2, AT[3]) == GradedPoly(3, {((0, 1), ()): 3, ((4,), ()): 1}, AT[3])
+    assert hazewinkel_m(5, 2, AT[5]) == GradedPoly(5, {((0, 1), ()): 5, ((6,), ()): 1}, AT[5])
     for p, k in [(3, 2), (3, 3), (5, 3)]:
-        assert {type(c) for c in hazewinkel_m(p, k).terms.values()} == {int}
+        assert {type(c) for c in hazewinkel_m(p, k, AT[p]).terms.values()} == {int}
 
 
 def test_hazewinkel_m_rejects_even_prime():
     with pytest.raises(ValueError):
-        hazewinkel_m(2, 1)
+        hazewinkel_m(2, 1, AT[3])
 
 
 def test_eta_unit(table_p3):
-    assert table_p3.eta(()) == GradedPoly.const(3, 1)
+    assert table_p3.eta(()) == GradedPoly.const(3, 1, AT[3])
 
 
 def test_eta_v1(table_p3):
     assert table_p3.eta((1,)) == GradedPoly(3, {
         ((1,), ()): 1,
         ((), (1,)): 3,
-    })
+    }, AT[3])
 
 
 def test_eta_v1_squared_top_term(table_p3):
@@ -137,7 +141,7 @@ def test_eta_v2_frozen(table_p3):
         ((2,), (2,)): -18,
         ((1,), (3,)): -35,
         ((), (4,)): -27,
-    })
+    }, AT[3])
 
 
 def test_eta_weight_bound_enforced():
@@ -159,18 +163,18 @@ def test_table_rejects_even_prime_and_bad_convention(tmp_path):
 
 
 def test_coefficient_of_t_examples(table_p3):
-    assert coefficient_of_t((1,), (1,), table_p3) == GradedPoly.const(3, 3)
+    assert coefficient_of_t((1,), (1,), table_p3) == GradedPoly.const(3, 3, AT[3])
     for gamma in [(2,), (0, 1), (4, 1)]:
-        assert coefficient_of_t(gamma, (), table_p3) == GradedPoly.v_mono(3, gamma)
+        assert coefficient_of_t(gamma, (), table_p3) == GradedPoly.v_mono(3, gamma, AT[3])
     assert coefficient_of_t((4,), (0, 1), table_p3).is_zero()
 
 
 def test_check_integrality():
     ok, offenders = check_integrality(GradedPoly(3, {
         ((1,), ()): 1, ((), (1,)): 3,
-    }))
+    }, AT[3]))
     assert ok and not offenders
-    bad = GradedPoly(3, {((1,), ()): Fraction(1, 3)})
+    bad = GradedPoly(3, {((1,), ()): Fraction(1, 3)}, AT[3])
     ok, offenders = check_integrality(bad)
     assert not ok
     assert offenders == [(((1,), ()), Fraction(1, 3))]
@@ -178,7 +182,7 @@ def test_check_integrality():
     mixed = GradedPoly(3, {
         ((2,), ()): Fraction(1, 3), ((1,), (1,)): Fraction(2, 9),
         ((), (2,)): Fraction(5, 2),
-    })
+    }, AT[3])
     ok, offenders = check_integrality(mixed)
     assert not ok
     assert sorted(offenders) == sorted(
@@ -208,7 +212,7 @@ def test_counit_law(table_p3):
     for r in range(table_p3.max_weight + 1):
         for gamma in enumerate_weight(r, 3):
             assert coefficient_of_t(gamma, (), table_p3) == \
-                GradedPoly.v_mono(3, gamma)
+                GradedPoly.v_mono(3, gamma, AT[3])
 
 
 def test_ring_map_law(table_p3):
@@ -229,24 +233,24 @@ def test_homogeneity(table_p3):
 
 def test_substitute_m_roundtrip():
     # p*m_1 is v_1
-    assert substitute_m(3, {1: GradedPoly.const(3, 1)}) == GradedPoly.v_mono(3, (1,))
+    assert substitute_m(3, {1: GradedPoly.const(3, 1, AT[3])}) == GradedPoly.v_mono(3, (1,), AT[3])
 
 
 def test_graded_poly_rejects_inhomogeneous():
     with pytest.raises(ValueError):
-        GradedPoly(3, {((1,), ()): 1, ((2,), ()): 1})
+        GradedPoly(3, {((1,), ()): 1, ((2,), ()): 1}, AT[3])
 
 
 def test_graded_poly_str():
-    poly = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
+    poly = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3}, AT[3])
     assert str(poly) == "v_1 + 3*t_1"
-    assert str(GradedPoly(3, {})) == "0"
+    assert str(GradedPoly(3, {}, AT[3])) == "0"
 
 
 def test_integrality_error_is_raised_on_corrupt_table():
     table = EtaRTable(3, 2)
     with pytest.raises(IntegralityError):
-        table._store((1,), GradedPoly(3, {((1,), ()): Fraction(1, 3)}))
+        table._store((1,), GradedPoly(3, {((1,), ()): Fraction(1, 3)}, AT[3]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +479,7 @@ def random_poly(rng, p, w, size):
         wv = rng.randint(0, w)
         key = tuple(rng.choice(enumerate_weight(part, p)) for part in (wv, w - wv))
         terms[key] = Fraction(rng.randint(-9, 9), rng.choice([1, 2, p, p * p]))
-    return GradedPoly(p, terms)
+    return GradedPoly(p, terms, AT[p])
 
 
 def raw_sum(a, b, sign=1):
@@ -509,28 +513,29 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
         b = random_poly(rng, p, wb, rng.randint(0, 6))
         a2 = random_poly(rng, p, wa, rng.randint(0, 6))
         # a partial cancellation: a2 shares some of a's terms with opposite sign
-        a2 = GradedPoly.sum(p, [a2, GradedPoly(p, {k: -c for k, c in list(a.items())[::2]})])
-        assert same(GradedPoly.sum(p, [a, a2]), GradedPoly(p, raw_sum(a, a2)))
-        assert same(GradedPoly.sum(p, [a, a2 * -1]), GradedPoly(p, raw_sum(a, a2, -1)))
-        assert same(a * -1, GradedPoly(p, {k: -c for k, c in a.items()}))
-        assert same(a * b, GradedPoly(p, raw_product(a, b)))
+        half = GradedPoly(p, {k: -c for k, c in list(a.items())[::2]}, AT[p])
+        a2 = GradedPoly.sum(p, [a2, half])
+        assert same(GradedPoly.sum(p, [a, a2]), GradedPoly(p, raw_sum(a, a2), AT[p]))
+        assert same(GradedPoly.sum(p, [a, a2 * -1]), GradedPoly(p, raw_sum(a, a2, -1), AT[p]))
+        assert same(a * -1, GradedPoly(p, {k: -c for k, c in a.items()}, AT[p]))
+        assert same(a * b, GradedPoly(p, raw_product(a, b), AT[p]))
         for scalar in (0, 1, -p, Fraction(2, p)):
-            expected = GradedPoly(p, {k: c * scalar for k, c in a.items()})
+            expected = GradedPoly(p, {k: c * scalar for k, c in a.items()}, AT[p])
             assert same(a * scalar, expected) and same(scalar * a, expected)
         n = rng.randint(0, 3)
-        expected = GradedPoly.const(p, 1)
+        expected = GradedPoly.const(p, 1, AT[p])
         for _ in range(n):
-            expected = GradedPoly(p, raw_product(expected, b))
+            expected = GradedPoly(p, raw_product(expected, b), AT[p])
         assert same(b ** n, expected)
     # (v_1 + t_1)(v_1 - t_1): the v_1 t_1 terms cancel
-    x = GradedPoly(p, {((1,), ()): 1, ((), (1,)): 1})
-    y = GradedPoly(p, {((1,), ()): 1, ((), (1,)): -1})
-    assert same(x * y, GradedPoly(p, raw_product(x, y)))
+    x = GradedPoly(p, {((1,), ()): 1, ((), (1,)): 1}, AT[p])
+    y = GradedPoly(p, {((1,), ()): 1, ((), (1,)): -1}, AT[p])
+    assert same(x * y, GradedPoly(p, raw_product(x, y), AT[p]))
     assert len((x * y).terms) == 2
 
 
 def test_scalar_product_takes_int_and_fraction_only():
-    a = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
+    a = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3}, AT[3])
     third = a * Fraction(1, 3)
     assert dict(third.items()) == {((1,), ()): Fraction(1, 3), ((), (1,)): 1}
     assert type(dict(third.items())[((1,), ())]) is Fraction
@@ -542,18 +547,18 @@ def test_scalar_product_takes_int_and_fraction_only():
 
 
 def test_sum_of_different_weights_raises_and_cancellation_is_zero():
-    a = GradedPoly(3, {((1,), ()): 1})
-    b = GradedPoly(3, {((2,), ()): 1})
+    a = GradedPoly(3, {((1,), ()): 1}, AT[3])
+    b = GradedPoly(3, {((2,), ()): 1}, AT[3])
     for bad in (lambda: GradedPoly.sum(3, [a, b]), lambda: GradedPoly.sum(3, [a, b * -1]),
                 lambda: GradedPoly.sum(3, [a, b, a])):
         with pytest.raises(ValueError):
             bad()
-    c = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3})
+    c = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3}, AT[3])
     for zero in (GradedPoly.sum(3, [c, c * -1]), c * 0, GradedPoly.sum(3, [c, c, c * -2])):
         assert zero.is_zero() and zero.weight is None
-        assert zero == GradedPoly(3, {})
-    assert GradedPoly.sum(3, [a, GradedPoly(3, {})]).weight == 1
-    assert (GradedPoly(3, {}) * a).weight is None
+        assert zero == GradedPoly(3, {}, AT[3])
+    assert GradedPoly.sum(3, [a, GradedPoly(3, {}, AT[3])]).weight == 1
+    assert (GradedPoly(3, {}, AT[3]) * a).weight is None
 
 
 # ---------------------------------------------------------------------------
@@ -562,25 +567,26 @@ def test_sum_of_different_weights_raises_and_cancellation_is_zero():
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_packed_product_matches_tuple_product(p):
-    # Weights up to 20 reach v_3 and t_3 at p = 3 and fields of 5 and 6 bits;
+    # Weights up to 20 reach v_3 and t_3 at p = 3;
     # size 0 gives the zero polynomial, and the v and t lengths vary per term.
     rng = random.Random(100 + p)
     for _ in range(80):
         a = random_poly(rng, p, rng.randint(0, 20), rng.randint(0, 8))
         b = random_poly(rng, p, rng.randint(0, 20), rng.randint(0, 8))
-        assert same(a * b, GradedPoly(p, raw_product(a, b)))
-        assert same(b * a, GradedPoly(p, raw_product(b, a)))
-    zero = GradedPoly(p, {})
+        assert same(a * b, GradedPoly(p, raw_product(a, b), AT[p]))
+        assert same(b * a, GradedPoly(p, raw_product(b, a), AT[p]))
+    zero = GradedPoly(p, {}, AT[p])
     for x in (zero * a, a * zero, zero * zero):
         assert x.is_zero() and x.weight is None
 
 
 def test_packed_product_with_unequal_lengths():
     # weight 14 at p=3: v_3 t_1, v_1^14, t_1 t_3; times eta_R(v_1) = v_1 + 3 t_1
-    a = GradedPoly(3, {((0, 0, 1), (1,)): 2, ((14,), ()): -1, ((), (1, 0, 1)): Fraction(5, 3)})
-    b = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3})
+    a = GradedPoly(3, {((0, 0, 1), (1,)): 2, ((14,), ()): -1, ((), (1, 0, 1)): Fraction(5, 3)},
+                   AT[3])
+    b = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3}, AT[3])
     for x, y in ((a, b), (b, a), (a, a)):
-        assert same(x * y, GradedPoly(3, raw_product(x, y)))
+        assert same(x * y, GradedPoly(3, raw_product(x, y), AT[3]))
 
 
 @pytest.mark.parametrize("k", range(2, 8))
@@ -618,7 +624,7 @@ def test_packed_keys_of_every_monomial_up_to_the_bound(max_weight):
 
 def test_store_refuses_non_integer_coefficients():
     table = EtaRTable(3, 2)
-    bad = GradedPoly(3, {((1,), ()): 1, ((), (1,)): Fraction(7, 2)})
+    bad = GradedPoly(3, {((1,), ()): 1, ((), (1,)): Fraction(7, 2)}, AT[3])
     with pytest.raises(IntegralityError, match=re.escape(
             "eta_R(v^(1,)) has non-integer coefficients: ((), (1,)) -> 7/2")):
         table._store((1,), bad)
@@ -686,7 +692,7 @@ def test_every_value_and_intermediate_shares_the_tables_layout():
     assert all(table.eta(gamma).layout == table.layout for gamma in table.keys())
     for k in range(4):
         assert hazewinkel_m(3, k, table.layout).layout == table.layout
-        assert hazewinkel_m(3, k, table.layout) == hazewinkel_m(3, k)
+        assert hazewinkel_m(3, k, table.layout) == hazewinkel_m(3, k, AT[3])
 
 
 def test_a_layout_one_bit_too_narrow_fails_at_once(narrow_layouts):

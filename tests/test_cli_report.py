@@ -867,6 +867,28 @@ def test_a_wrong_right_unit_fails_the_counit_check(tmp_path, capsys, monkeypatch
     assert failed == ["eta-v1-exact", "counit/w=1", "counit/w=2"], checks
 
 
+def test_every_polynomial_a_command_builds_is_at_the_tables_layout(tmp_path, capsys,
+                                                                    monkeypatch):
+    # The checks build their expected values at the table's layout, so no
+    # command compares across layouts or is capped by a layout of its own.
+    from bpcentre.bp_hopf import GradedPoly, _layout
+
+    layouts = set()
+    real = GradedPoly._fill
+
+    def recorded(self, p, terms, weight, layout):
+        layouts.add(layout)
+        real(self, p, terms, weight, layout)
+
+    monkeypatch.setattr(GradedPoly, "_fill", recorded)
+    for command in (["eta-table"], ["verify", "all"], ["lattices"]):
+        argv = [*command, "--p", "3", "--max-weight", "8", "--N", "4", "--heights", "1,2",
+                "--format", "json", "--cache", str(tmp_path / "cache")]
+        code, out = run_cli(capsys, argv)
+        assert code == 0, (argv, out)
+    assert layouts == {_layout(8, 3)}
+
+
 def test_no_command_creates_a_fraction(tmp_path, capsys, monkeypatch):
     # eta_R and the realized columns are built in integers: a Fraction is
     # made only on an error path.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from bpcentre import dvr_arith
-from bpcentre.bp_hopf import GradedPoly
+from bpcentre.bp_hopf import GradedPoly, _layout
 from bpcentre.dvr_arith import (
     INFINITY,
     commutant,
@@ -61,7 +61,7 @@ def test_valuation_input_types_and_non_prime():
     lambda: is_integral(0.2, 5),
     lambda: echelon_lattice(5, [(0.2, 1)], 2),
     lambda: adams_sequence(5, 0.2, 3),
-    lambda: GradedPoly(3, {((1,), ()): 0.5}),
+    lambda: GradedPoly(3, {((1,), ()): 0.5}, _layout(1, 3)),
 ], ids=["valuation-float", "valuation-str", "is_integral", "echelon_lattice",
         "adams_sequence", "GradedPoly"])
 def test_scalars_other_than_int_and_fraction_raise(call):

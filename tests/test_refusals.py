@@ -17,7 +17,7 @@ from bpcentre.op_calculus import ConsistencyError, solve_column
 
 
 def one(p):
-    return GradedPoly.const(p, 1)
+    return GradedPoly.const(p, 1, _layout(1, p))
 
 
 REFUSALS = {
@@ -32,7 +32,7 @@ REFUSALS = {
     "pack-past-the-fields": (lambda: GradedPoly.v_mono(3, (0, 1), _layout(3, 3)), OverflowError,
                              r"\(\(0, 1\), \(\)\) does not fit the fields of Layout\(bound=3"),
     "negative-power": (lambda: one(3) ** -1, ValueError, "negative power"),
-    "hazewinkel-negative-index": (lambda: hazewinkel_m(3, -1), ValueError,
+    "hazewinkel-negative-index": (lambda: hazewinkel_m(3, -1, _layout(1, 3)), ValueError,
                                   "index must be non-negative"),
     "table-negative-bound": (lambda: EtaRTable(3, -1), ValueError,
                              "max_weight must be non-negative"),
@@ -64,7 +64,7 @@ def test_refusal(call, error, message):
 
 @pytest.mark.parametrize("c, text", [(5, "5"), (-5, "-5"), (1, "1")])
 def test_str_of_a_constant(c, text):
-    assert str(GradedPoly.const(3, c)) == text
+    assert str(GradedPoly.const(3, c, _layout(1, 3))) == text
 
 
 def test_inhomogeneous_generator_fails_eta_table(tmp_path, capsys, monkeypatch):
