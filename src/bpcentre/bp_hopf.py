@@ -14,8 +14,8 @@ only, and composite values are products of integer polynomials.
 
 A polynomial keys its terms by ints that pack each exponent into a field of
 its :class:`Layout`.  A table keeps every value, and every intermediate of
-its construction, at the layout of its weight bound, so a product is key
-addition alone and only readers of exponents unpack a key.
+its construction, at the layout of its weight bound.  The one product, of two
+polynomials at one layout, is key addition; only exponent readers unpack a key.
 
 :class:`EtaRTable` memoizes eta_R on v-monomials up to a weight bound and
 serializes to a deterministic JSON document, one entry at a time, so writing,
@@ -129,9 +129,9 @@ class GradedPoly:
     packed at the polynomial's layout, to non-zero coefficients, ``int`` or
     ``Fraction``, and all stored terms share one total weight.  The public
     constructor takes (v, t) monomials, stores integral values as ``int``
-    and packs them at the given layout.  Products and sums need one layout
-    and never unpack a key; :meth:`items` reads the terms with their
-    exponents.
+    and packs them at the given layout.  The one product is by another
+    polynomial of the layout (a scalar is a :meth:`const`); products and
+    sums never unpack a key, and :meth:`items` reads terms with exponents.
     """
 
     __slots__ = ("p", "terms", "weight", "layout")
@@ -210,12 +210,7 @@ class GradedPoly:
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
-            if not isinstance(other, int):
-                from fractions import Fraction  # only a non-int operand needs it
-                if not isinstance(other, Fraction):
-                    return NotImplemented
-            terms = {k: c * other for k, c in self.terms.items()} if other else {}
-            return GradedPoly._trusted(self.p, terms, self.weight, self.layout)
+            return NotImplemented
         if self.p != other.p or self.layout != other.layout:
             raise ValueError("mixed primes or layouts")
         if not (self.terms and other.terms):
@@ -235,20 +230,6 @@ class GradedPoly:
             raise OverflowError(f"a product of weight {w} overflows the fields of {self.layout}")
         terms = out if all(out.values()) else {k: c for k, c in out.items() if c}
         return GradedPoly._trusted(self.p, terms, w if terms else None, self.layout)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "GradedPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GradedPoly.const(self.p, 1, self.layout)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     # -- structure queries --------------------------------------------
 
@@ -311,9 +292,8 @@ def hazewinkel_m(p: int, k: int, layout: Layout) -> GradedPoly:
         raise ValueError("index must be non-negative")
     if k == 0:
         return GradedPoly.const(p, 1, layout)
-    return GradedPoly.sum(p, (hazewinkel_m(p, i, layout) * p ** (k - 1 - i)
-                              * GradedPoly.v_mono(p, unit_exp(k - i), layout) ** (p**i)
-                              for i in range(k)))
+    return GradedPoly.sum(p, (hazewinkel_m(p, i, layout) * GradedPoly(
+        p, {((0,) * (k - i - 1) + (p**i,), ()): p ** (k - 1 - i)}, layout) for i in range(k)))
 
 
 def substitute_m(p: int, groups: dict[int, GradedPoly]) -> GradedPoly:
@@ -363,15 +343,16 @@ class EtaRTable:
     def _eta_generator(self, k: int) -> GradedPoly:
         # eta_R(v_k) = p*eta_R(m_k) - sum_{0<i<k} eta_R(m_i) eta_R(v_{k-i})^{p^i}
         # with eta_R(m_i) = sum_{a+j=i} m_a t_j^{p^a}; the t-parts, times p^(k-a),
-        # go to groups[a], whose sum against the p^a m_a is p^k eta_R(v_k).
+        # go to groups[a], whose sum against the p^a m_a is p^k eta_R(v_k).  Each
+        # eta_R(v_{k-i})^{p^i} is a table entry of lower weight, cached by populate.
         p = self.p
-        powers = {i: self.eta(unit_exp(k - i)) ** (p**i) for i in range(1, k)}
 
         def t_power(j, a, c):  # c * t_j^{p^a}, with t_0 = 1
             return GradedPoly(p, {((), (0,) * (j - 1) + (p**a,) if j else ()): c}, self.layout)
 
         groups = {a: GradedPoly.sum(p, [t_power(k - a, a, p ** (k - a + 1))] + [
-            t_power(i - a, a, -p ** (k - a)) * powers[i] for i in range(max(a, 1), k)
+            t_power(i - a, a, -p ** (k - a)) * self.eta((0,) * (k - i - 1) + (p**i,))
+            for i in range(max(a, 1), k)
         ]) for a in range(k + 1)}
         scaled, q = substitute_m(p, groups), p**k
         if any(c % q for c in scaled.terms.values()):

@@ -515,18 +515,22 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
         # a partial cancellation: a2 shares some of a's terms with opposite sign
         half = GradedPoly(p, {k: -c for k, c in list(a.items())[::2]}, AT[p])
         a2 = GradedPoly.sum(p, [a2, half])
+        minus_one = GradedPoly.const(p, -1, AT[p])
         assert same(GradedPoly.sum(p, [a, a2]), GradedPoly(p, raw_sum(a, a2), AT[p]))
-        assert same(GradedPoly.sum(p, [a, a2 * -1]), GradedPoly(p, raw_sum(a, a2, -1), AT[p]))
-        assert same(a * -1, GradedPoly(p, {k: -c for k, c in a.items()}, AT[p]))
+        assert same(GradedPoly.sum(p, [a, a2 * minus_one]),
+                    GradedPoly(p, raw_sum(a, a2, -1), AT[p]))
+        assert same(a * minus_one, GradedPoly(p, {k: -c for k, c in a.items()}, AT[p]))
         assert same(a * b, GradedPoly(p, raw_product(a, b), AT[p]))
         for scalar in (0, 1, -p, Fraction(2, p)):
             expected = GradedPoly(p, {k: c * scalar for k, c in a.items()}, AT[p])
-            assert same(a * scalar, expected) and same(scalar * a, expected)
+            const = GradedPoly.const(p, scalar, AT[p])
+            assert same(a * const, expected) and same(const * a, expected)
         n = rng.randint(0, 3)
-        expected = GradedPoly.const(p, 1, AT[p])
+        expected = power = GradedPoly.const(p, 1, AT[p])
         for _ in range(n):
             expected = GradedPoly(p, raw_product(expected, b), AT[p])
-        assert same(b ** n, expected)
+            power = power * b
+        assert same(power, expected)
     # (v_1 + t_1)(v_1 - t_1): the v_1 t_1 terms cancel
     x = GradedPoly(p, {((1,), ()): 1, ((), (1,)): 1}, AT[p])
     y = GradedPoly(p, {((1,), ()): 1, ((), (1,)): -1}, AT[p])
@@ -534,27 +538,30 @@ def test_trusted_arithmetic_matches_validating_constructor(p):
     assert len((x * y).terms) == 2
 
 
-def test_scalar_product_takes_int_and_fraction_only():
+def test_product_refuses_every_non_polynomial_operand():
     a = GradedPoly(3, {((1,), ()): 1, ((), (1,)): 3}, AT[3])
-    third = a * Fraction(1, 3)
+    for other in (2, Fraction(1, 3), 0.5, "2"):
+        assert a.__mul__(other) is NotImplemented
+        for bad in (lambda: a * other, lambda: other * a):
+            with pytest.raises(TypeError):
+                bad()
+    assert not hasattr(a, "__rmul__") and not hasattr(a, "__pow__")
+    third = a * GradedPoly.const(3, Fraction(1, 3), AT[3])
     assert dict(third.items()) == {((1,), ()): Fraction(1, 3), ((), (1,)): 1}
     assert type(dict(third.items())[((1,), ())]) is Fraction
-    assert dict((a * 2).items()) == {((1,), ()): 2, ((), (1,)): 6}
-    assert a.__mul__(0.5) is NotImplemented
-    for bad in (lambda: a * 0.5, lambda: 0.5 * a, lambda: a * "2"):
-        with pytest.raises(TypeError):
-            bad()
 
 
 def test_sum_of_different_weights_raises_and_cancellation_is_zero():
     a = GradedPoly(3, {((1,), ()): 1}, AT[3])
     b = GradedPoly(3, {((2,), ()): 1}, AT[3])
-    for bad in (lambda: GradedPoly.sum(3, [a, b]), lambda: GradedPoly.sum(3, [a, b * -1]),
+    const = {s: GradedPoly.const(3, s, AT[3]) for s in (-1, 0, -2)}
+    for bad in (lambda: GradedPoly.sum(3, [a, b]), lambda: GradedPoly.sum(3, [a, b * const[-1]]),
                 lambda: GradedPoly.sum(3, [a, b, a])):
         with pytest.raises(ValueError):
             bad()
     c = GradedPoly(3, {((1,), ()): 2, ((), (1,)): 3}, AT[3])
-    for zero in (GradedPoly.sum(3, [c, c * -1]), c * 0, GradedPoly.sum(3, [c, c, c * -2])):
+    for zero in (GradedPoly.sum(3, [c, c * const[-1]]), c * const[0],
+                 GradedPoly.sum(3, [c, c, c * const[-2]])):
         assert zero.is_zero() and zero.weight is None
         assert zero == GradedPoly(3, {}, AT[3])
     assert GradedPoly.sum(3, [a, GradedPoly(3, {}, AT[3])]).weight == 1
@@ -664,6 +671,17 @@ def test_table_bytes_are_unchanged(p, max_weight):
     assert hashlib.sha256(data).hexdigest() == CACHE_SHA256[p, max_weight]
 
 
+@pytest.mark.parametrize("p,max_weight,k", [(3, 40, 4), (5, 31, 3), (7, 57, 3)])
+def test_generator_computed_before_its_powers_are_cached(p, max_weight, k):
+    """On an empty table eta_R(v_k) builds each eta_R(v_{k-i})^{p^i} through
+    the memo on demand; under populate every one of them is a cache hit.
+    Both routes give the same value, and the powers stay in the cache."""
+    fresh = EtaRTable(p, max_weight)
+    assert fresh.eta(unit_exp(k)) == EtaRTable(p, max_weight).populate().eta(unit_exp(k))
+    for i in range(1, k):
+        assert (0,) * (k - i - 1) + (p**i,) in fresh._cache
+
+
 def test_planted_non_integral_coefficient_fails_populate(monkeypatch):
     from bpcentre import bp_hopf
 
@@ -673,7 +691,9 @@ def test_planted_non_integral_coefficient_fails_populate(monkeypatch):
 
     def without_one_over_p(p, k, layout):
         # m_1 = v_1 instead of v_1/p: eta_R(v_2) keeps a v_1^4/3 term
-        return real(p, k, layout) * p if k == 1 else real(p, k, layout)
+        if k == 1:
+            return real(p, k, layout) * GradedPoly.const(p, p, layout)
+        return real(p, k, layout)
 
     EtaRTable(3, 4).populate()
     monkeypatch.setattr(bp_hopf, "hazewinkel_m", without_one_over_p)

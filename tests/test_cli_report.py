@@ -815,7 +815,8 @@ def test_planted_non_integral_coefficient_fails_eta_table(tmp_path, capsys, monk
     for k in range(3):
         real(3, k, bp_hopf._layout(4, 3))  # memoized, so the patched recursion below never reaches it
     monkeypatch.setattr(bp_hopf, "hazewinkel_m", lambda p, k, layout: (
-        real(p, k, layout) * p if k == 1 else real(p, k, layout)))
+        real(p, k, layout) * bp_hopf.GradedPoly.const(p, p, layout) if k == 1
+        else real(p, k, layout)))
     code, out = run_cli(capsys, ["eta-table", "--p", "3", "--max-weight", "4",
                                  "--cache", str(tmp_path / "cache")])
     assert code == 1

@@ -2,8 +2,9 @@
 
 These are the safety paths that the commands never take on valid input:
 the immutability guard, mixed primes and layouts, a monomial that does not
-fit its layout, a negative power, index and bound checks, shape mismatches
-and a vanishing diagonal.
+fit its layout, a product by a scalar or a power (a polynomial has one
+product, by a polynomial), index and bound checks, shape mismatches and a
+vanishing diagonal.
 """
 
 import pytest
@@ -31,7 +32,10 @@ REFUSALS = {
                           "mixed primes or layouts"),
     "pack-past-the-fields": (lambda: GradedPoly.v_mono(3, (0, 1), _layout(3, 3)), OverflowError,
                              r"\(\(0, 1\), \(\)\) does not fit the fields of Layout\(bound=3"),
-    "negative-power": (lambda: one(3) ** -1, ValueError, "negative power"),
+    "mul-by-int": (lambda: one(3) * 2, TypeError,
+                   r"unsupported operand type\(s\) for \*: 'GradedPoly' and 'int'"),
+    "pow": (lambda: one(3) ** 2, TypeError,
+            r"unsupported operand type\(s\) for \*\* or pow\(\): 'GradedPoly' and 'int'"),
     "hazewinkel-negative-index": (lambda: hazewinkel_m(3, -1, _layout(1, 3)), ValueError,
                                   "index must be non-negative"),
     "table-negative-bound": (lambda: EtaRTable(3, -1), ValueError,
