@@ -26,11 +26,14 @@ exactly the bytes of that serialization (:meth:`EtaRTable.load`).
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import namedtuple
 from functools import cache, lru_cache, reduce
 from operator import or_
+try:  # the built-in SHA-256: hashlib would load OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .dvr_arith import is_odd_prime
 from .monomial_order import (
@@ -166,10 +169,6 @@ class GradedPoly:
     @classmethod
     def const(cls, p: int, c, layout: Layout) -> "GradedPoly":
         return cls(p, {MONO_ONE: c}, layout)
-
-    @classmethod
-    def v_mono(cls, p: int, alpha: Exp, layout: Layout) -> "GradedPoly":
-        return cls(p, {(alpha, ()): 1}, layout)
 
     # -- ring structure -----------------------------------------------
 
@@ -321,6 +320,7 @@ class EtaRTable:
         self.max_weight = max_weight
         self.layout = _layout(max_weight, p)
         self._cache: dict[Exp, GradedPoly] = {}
+        self._store((), GradedPoly.const(p, 1, self.layout))
 
     # -- construction ---------------------------------------------------
 
@@ -363,7 +363,7 @@ class EtaRTable:
         return GradedPoly._trusted(p, quotient, scaled.weight, self.layout)
 
     def eta(self, gamma) -> GradedPoly:
-        """eta_R(v^gamma), computed multiplicatively and memoized."""
+        """eta_R(v^gamma), memoized: a loop, not a recursion, builds the rests below it."""
         gamma = normalize(gamma)
         cached = self._cache.get(gamma)
         if cached is not None:
@@ -373,18 +373,18 @@ class EtaRTable:
             raise ValueError(
                 f"weight {w} exceeds the table bound {self.max_weight}"
             )
-        try:
-            if not gamma:
-                poly = GradedPoly.const(self.p, 1, self.layout)
-            elif gamma == unit_exp(len(gamma)):
-                poly = self._eta_generator(len(gamma))
-            else:
-                top = unit_exp(len(gamma))
-                rest = normalize(gamma[:-1] + (gamma[-1] - 1,))
-                poly = self.eta(rest) * self.eta(top)
-        except OverflowError as exc:  # raised by no product of weight <= max_weight
-            raise CarryError(f"eta_R(v^{gamma}): {exc}") from None
-        return self._store(gamma, poly)
+        steps = [gamma]  # each step lowers the last exponent by one, down to a stored value
+        while (g := steps[-1]) not in self._cache:  # eta_R(1) is stored, so the walk ends
+            steps.append(normalize(g[:-1] + (g[-1] - 1,)))
+        poly = self._cache[steps.pop()]
+        for g in reversed(steps):  # eta_R(v^g) = eta_R(rest of g) * eta_R(v_top)
+            top = unit_exp(len(g))
+            try:
+                poly = self._eta_generator(len(g)) if g == top else poly * self.eta(top)
+            except OverflowError as exc:  # raised by no product of weight <= max_weight
+                raise CarryError(f"eta_R(v^{g}): {exc}") from None
+            poly = self._store(g, poly)
+        return poly
 
     def populate(self) -> "EtaRTable":
         for r in range(self.max_weight + 1):
@@ -456,7 +456,7 @@ class EtaRTable:
         """Write the serialized table piece by piece beside path, then move it
         over path, so an interrupted save leaves no partial cache; return the
         SHA-256 hex digest of the bytes written."""
-        digest = hashlib.sha256()
+        digest = sha256()
         tmp = f"{os.fspath(path)}.{os.urandom(6).hex()}.tmp"
         try:
             with open(tmp, "xb") as fh:
@@ -477,7 +477,7 @@ class EtaRTable:
         naming the path and the first part that differs (the header, an
         entry v^gamma or the end of the document, which also covers bytes
         after it)."""
-        digest = hashlib.sha256()
+        digest = sha256()
         with open(path, "rb") as fh:
             for part, data in self._pieces():
                 if fh.read(len(data)) != data:
@@ -491,7 +491,7 @@ class EtaRTable:
 
     def fingerprint(self) -> str:
         """The SHA-256 hex digest of the serialized table."""
-        digest = hashlib.sha256()
+        digest = sha256()
         for _, data in self._pieces():
             digest.update(data)
         return digest.hexdigest()

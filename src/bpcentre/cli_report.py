@@ -169,7 +169,7 @@ def suite_etaR(config: RunConfig, table: EtaRTable) -> list[dict]:
         # Pure-t terms have weight r: row i of mu holds all of eta_R(v^basis[i]).
         basis, faults = triangular_faults(r, table)
         counit_ok = all(coefficient_of_t(gamma, (), table)
-                        == GradedPoly.v_mono(p, gamma, table.layout) for gamma in basis)
+                        == GradedPoly(p, {(gamma, ()): 1}, table.layout) for gamma in basis)
         _check(checks, f"top-term/w={r}", not faults,
                f"top pure-t coefficient is p^(sum gamma) on {len(basis)} monomials")
         _check(checks, f"counit/w={r}", counit_ok,

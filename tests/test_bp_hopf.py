@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import random
 import re
@@ -165,7 +166,7 @@ def test_table_rejects_even_prime_and_bad_convention(tmp_path):
 def test_coefficient_of_t_examples(table_p3):
     assert coefficient_of_t((1,), (1,), table_p3) == GradedPoly.const(3, 3, AT[3])
     for gamma in [(2,), (0, 1), (4, 1)]:
-        assert coefficient_of_t(gamma, (), table_p3) == GradedPoly.v_mono(3, gamma, AT[3])
+        assert coefficient_of_t(gamma, (), table_p3) == GradedPoly(3, {(gamma, ()): 1}, AT[3])
     assert coefficient_of_t((4,), (0, 1), table_p3).is_zero()
 
 
@@ -212,7 +213,7 @@ def test_counit_law(table_p3):
     for r in range(table_p3.max_weight + 1):
         for gamma in enumerate_weight(r, 3):
             assert coefficient_of_t(gamma, (), table_p3) == \
-                GradedPoly.v_mono(3, gamma, AT[3])
+                GradedPoly(3, {(gamma, ()): 1}, AT[3])
 
 
 def test_ring_map_law(table_p3):
@@ -233,7 +234,8 @@ def test_homogeneity(table_p3):
 
 def test_substitute_m_roundtrip():
     # p*m_1 is v_1
-    assert substitute_m(3, {1: GradedPoly.const(3, 1, AT[3])}) == GradedPoly.v_mono(3, (1,), AT[3])
+    assert substitute_m(3, {1: GradedPoly.const(3, 1, AT[3])}) == \
+        GradedPoly(3, {((1,), ()): 1}, AT[3])
 
 
 def test_graded_poly_rejects_inhomogeneous():
@@ -728,12 +730,35 @@ def test_a_layout_one_bit_too_narrow_fails_at_once(narrow_layouts):
     assert max(weight(gamma, 3) for gamma in table._cache) == 7
 
 
+def test_a_deep_power_is_built_by_a_loop_on_an_empty_table():
+    """eta_R(v_1^1100) walks 1100 rests down to eta_R(1); a recursion of that
+    depth raised RecursionError.  eta_R(v_1) = v_1 + 3*t_1, so the value is
+    the binomial expansion, and at a small bound the walk gives the value
+    that populate does."""
+    deep = EtaRTable(3, 1100).eta((1100,))
+    assert dict(deep.items()) == {
+        ((1100 - j,) if j < 1100 else (), (j,) if j else ()): math.comb(1100, j) * 3**j
+        for j in range(1101)}
+    for gamma in [(20,), (4, 2), (2, 0, 1)]:
+        assert EtaRTable(3, 20).eta(gamma) == EtaRTable(3, 20).populate().eta(gamma)
+
+
+def test_a_layout_one_bit_too_narrow_stops_the_walk(narrow_layouts):
+    """On an empty table the walk builds v_1^1, ..., v_1^7 and stops at the
+    first product whose exponent outgrows the narrowed fields."""
+    table = EtaRTable(3, 15)
+    with pytest.raises(CarryError, match=re.escape(
+            "eta_R(v^(8,)): a product of weight 8 overflows the fields of Layout(bound=15, bits=3")):
+        table.eta((15,))
+    assert sorted(table._cache) == [(), (1,), (2,), (3,), (4,), (5,), (6,), (7,)]
+
+
 def test_the_guard_bit_is_exact():
     # at the layout of weight 7 (fields of 3 bits), v_1^7 fits and v_1^8 does not
     layout = _layout(7, 3)
-    v1, v1_6 = (GradedPoly.v_mono(3, (e,), layout) for e in (1, 6))
+    v1, v1_6 = (GradedPoly(3, {((e,), ()): 1}, layout) for e in (1, 6))
     assert dict((v1 * v1_6).items()) == {((7,), ()): 1}
     with pytest.raises(OverflowError, match="a product of weight 8 overflows"):
         v1 * v1_6 * v1
     with pytest.raises(OverflowError, match=re.escape("((8,), ()) does not fit")):
-        GradedPoly.v_mono(3, (8,), layout)
+        GradedPoly(3, {((8,), ()): 1}, layout)

@@ -30,7 +30,7 @@ REFUSALS = {
                           ValueError, "mixed primes or layouts"),
     "mul-mixed-layouts": (lambda: one(3) * GradedPoly.const(3, 1, _layout(4, 3)), ValueError,
                           "mixed primes or layouts"),
-    "pack-past-the-fields": (lambda: GradedPoly.v_mono(3, (0, 1), _layout(3, 3)), OverflowError,
+    "pack-past-the-fields": (lambda: GradedPoly(3, {((0, 1), ()): 1}, _layout(3, 3)), OverflowError,
                              r"\(\(0, 1\), \(\)\) does not fit the fields of Layout\(bound=3"),
     "mul-by-int": (lambda: one(3) * 2, TypeError,
                    r"unsupported operand type\(s\) for \*: 'GradedPoly' and 'int'"),

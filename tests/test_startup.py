@@ -5,6 +5,7 @@ paid for on every invocation.  The check runs in a child process because
 pytest itself imports ``inspect`` and ``ast``.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,14 +42,17 @@ def test_a_command_does_not_load_dataclasses(tmp_path):
 # Each command loads only the modules it runs: eta-table neither the verify
 # and lattice modules nor the csv writer, and no command loads fractions (no
 # command builds a Fraction) or the decimal module that fractions pulls in.
+# Where CPython has its built-in SHA-256, no command loads hashlib, whose
+# _hashlib loads OpenSSL's libcrypto (about 3.7 MB of peak RSS per run).
+OPENSSL = ("hashlib", "_hashlib") if importlib.util.find_spec("_sha256") else ()
 NOT_LOADED = [
     (["eta-table", "--max-weight", "4"],
      ("fractions", "decimal", "numbers", "csv", "bpcentre.op_calculus",
-      "bpcentre.truncation_centre", "bpcentre.ktheory_lattice")),
+      "bpcentre.truncation_centre", "bpcentre.ktheory_lattice", *OPENSSL)),
     (["verify", "all", "--max-weight", "4", "--N", "2", "--heights", "1,2"],
-     ("fractions", "decimal", "csv")),
+     ("fractions", "decimal", "csv", *OPENSSL)),
     (["lattices", "--max-weight", "4", "--N", "2", "--heights", "1,2"],
-     ("fractions", "decimal", "csv")),
+     ("fractions", "decimal", "csv", *OPENSSL)),
 ]
 
 COMMAND_CHILD = """
@@ -83,6 +87,29 @@ def test_a_markdown_report_does_not_load_csv(argv, tmp_path):
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
     assert done.stdout.split() == ["0"], done.stdout
+
+
+# Without the built-in module, bp_hopf takes hashlib's SHA-256: the same digest.
+FALLBACK_CHILD = """
+import hashlib, sys
+sys.modules["_sha256"] = None
+from bpcentre import bp_hopf
+table = bp_hopf.EtaRTable(3, 8)
+print(bp_hopf.sha256 is hashlib.sha256, table.fingerprint(),
+      hashlib.sha256(table.to_bytes()).hexdigest())
+"""
+
+
+def test_without_the_built_in_module_the_fingerprint_comes_from_hashlib():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", FALLBACK_CHILD],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    from_hashlib, fingerprint, digest = done.stdout.split()
+    assert from_hashlib == "True" and fingerprint == digest, done.stdout
+    from bpcentre.bp_hopf import EtaRTable
+    assert fingerprint == EtaRTable(3, 8).fingerprint()
 
 
 # python -m bpcentre runs main and exits with its code: 0 on success, 1 on a
