@@ -32,7 +32,7 @@ from .bp_hopf import (
     check_integrality,
     coefficient_of_t,
 )
-from .dvr_arith import (default_caps, generates_units_mod_p2, is_odd_prime, scalar_value,
+from .dvr_arith import (default_caps, generates_units_mod_p2, is_odd_prime,
                          topological_generator, valuation)
 from .monomial_order import enumerate_weight, max_generator_index, unit_exp
 
@@ -204,11 +204,13 @@ def suite_realize(config: RunConfig, table: EtaRTable) -> list[dict]:
 
 
 def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
-    """Block order and centre per (height, weight); an internal inconsistency
+    """Block order and centre per (height, weight), the centre read off the
+    verified mu_bar by the shift lemma of ``truncation_centre.centre_commutant``:
+    c I when |R| <= 1 or no mu_bar of R vanishes.  An internal inconsistency
     (a violated block order, a realization that does not verify) FAILs the
     check it occurred in, with its message as the witness."""
-    from .op_calculus import ConsistencyError
-    from .truncation_centre import block_split, centre_commutant
+    from .op_calculus import ConsistencyError, realizations
+    from .truncation_centre import block_split
     checks: list[dict] = []
     for n in config.heights:
         for r in range(config.max_weight + 1):
@@ -221,17 +223,15 @@ def suite_centre(config: RunConfig, table: EtaRTable) -> list[dict]:
             _check(checks, f"block-order/n={n}/w={r}", True,
                    f"|R|={len(split.r_basis)} |J|={len(split.basis) - len(split.r_basis)}")
             try:
-                rank, basis = centre_commutant(r, n, table, split)
+                mu_bar = [realizations(r, table)[beta][0] for beta in split.r_basis]
             except ConsistencyError as exc:
                 _check(checks, f"centre/n={n}/w={r}", False, str(exc))
                 continue
-            scalar = all(scalar_value(m) is not None for m in basis)
-            _check(
-                checks,
-                f"centre/n={n}/w={r}",
-                rank == 1 and scalar,
-                f"commutant rank={rank} scalar={scalar}",
-            )
+            ok = len(mu_bar) < 2 or 0 not in mu_bar
+            vals = sorted(valuation(m, config.p) for m in mu_bar)
+            span = f", mu_bar valuations {vals[0]}..{vals[-1]}" if vals else ""
+            _check(checks, f"centre/n={n}/w={r}", ok, f"shift lemma: |R|={len(vals)}{span}" if ok
+                   else f"mu_bar vanishes at {split.r_basis[mu_bar.index(0)]}")
     return checks
 
 

@@ -72,16 +72,16 @@ def projected_elementary(alpha, beta, r: int, n: int, table: EtaRTable) -> Matri
     return tuple(tuple(mu_bar if (i, j) == (a, b) else 0 for j in size) for i in size)
 
 
-def centre_commutant(r: int, n: int, table: EtaRTable, split: BlockSplit | None = None):
-    """Commutant of the realized elementary family on the R block.
+def centre_commutant(r: int, n: int, table: EtaRTable):
+    """Commutant of the realized elementary family on R, the centre check's oracle.
 
     Returns (rank, basis matrices).  :func:`commutant` gets only the weighted
     shifts U = sum_a mu_bar_(a+1) E_(a, a+1) and D = sum_a mu_bar_a E_(a+1, a),
     mu_bar_b the realized scalar of R column b.  X commuting with U keeps
     ker U = Q e_0, and e_(a+1) = D e_a / mu_bar_a, so X commuting with D too is
-    c I: the whole family's commutant, the scalars.  ``split`` is used if given.
+    c I: the whole family's commutant is the scalars (the shift lemma of ``verify centre``).
     """
-    r_basis = (split or block_split(r, n, table.p)).r_basis
+    r_basis = block_split(r, n, table.p).r_basis
     realized = realizations(r, table)  # every column solved and verified, J included
     mu_bar = [realized[beta][0] for beta in r_basis]
     size = range(len(r_basis))

@@ -28,13 +28,16 @@ NEVER_CALLED = {
     "bp_hopf.EtaRTable.fingerprint": TRACED,
     "bp_hopf._coefficient_error": "an error path: a right-unit value that is not integral",
     "bp_hopf.mono_sort_key": ORACLE,
+    "dvr_arith.commutant": ORACLE,
     "dvr_arith.mat_mul": ORACLE,
     "dvr_arith.reduce_mod_p_power": ORACLE,
+    "dvr_arith.scalar_value": ORACLE,
     "monomial_order.compare": ORACLE,
     "op_calculus.action_matrix": ORACLE,
     "op_calculus.adams_matrix": ORACLE,
     "op_calculus.elementary_realize": TRACED,
     "op_calculus.functional_matrix": ORACLE,
+    "truncation_centre.centre_commutant": ORACLE,
     "truncation_centre.projected_elementary": TRACED,
     "truncation_centre.iota_hat_n_window": ORACLE,
 }

@@ -16,8 +16,7 @@ from test_exports import TRACING, load_tracing
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-LAYERS = ("op_calculus.mu_matrix", "truncation_centre.block_split",
-          "truncation_centre.centre_commutant", "ktheory_lattice.sg_window")
+LAYERS = ("op_calculus.mu_matrix", "truncation_centre.block_split", "ktheory_lattice.sg_window")
 
 
 def test_traced_verify_all_counts_every_layer(tmp_path):

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from bpcentre import op_calculus
 from bpcentre.bp_hopf import EtaRTable
+from bpcentre.cli_report import RunConfig, suite_centre
 from bpcentre.dvr_arith import commutant, lattice_membership, mat_mul, scalar_value
 from bpcentre.ktheory_lattice import sg_window
-from bpcentre.op_calculus import ConsistencyError
+from bpcentre.op_calculus import ConsistencyError, realizations
 from bpcentre.truncation_centre import (
     block_split,
     centre_commutant,
@@ -86,6 +88,66 @@ def test_centre_is_the_commutant_of_the_full_family(p, max_weight, heights):
                       for alpha in r_basis for beta in r_basis]
             expected = commutant(family, len(r_basis), p)
             assert centre_commutant(r, n, table)[1] == expected, (p, n, r)
+
+
+def shifts(mu_bar):
+    """U = sum_a mu_bar_(a+1) E_(a, a+1) and D = sum_a mu_bar_a E_(a+1, a)."""
+    size = range(len(mu_bar))
+    return [tuple(tuple(mu_bar[j] if j == i + 1 else 0 for j in size) for i in size),
+            tuple(tuple(mu_bar[j] if i == j + 1 else 0 for j in size) for i in size)]
+
+
+def centre_check(monkeypatch, table, n, r, vanish=None):
+    """(status, witness) of ``verify centre`` at (n, r), mu_bar of column
+    ``vanish`` set to 0 in the realizations the suite reads."""
+    def patched(w, t):
+        realized = realizations(w, t)
+        if w != r or vanish is None:
+            return realized
+        return {**realized, vanish: (0, realized[vanish][1])}
+
+    with monkeypatch.context() as m:
+        m.setattr(op_calculus, "realizations", patched)
+        config = RunConfig(p=table.p, max_weight=max(r, 1), heights=(n,))
+        check, = [c for c in suite_centre(config, table) if c["id"] == f"centre/n={n}/w={r}"]
+    return check["status"], check["witness"]
+
+
+def is_scalars(basis):
+    return len(basis) == 1 and scalar_value(basis[0]) is not None
+
+
+@pytest.mark.parametrize("p,max_weight", [(3, 13), (5, 13), (7, 17)])
+def test_centre_check_is_the_shift_lemma(p, max_weight, monkeypatch):
+    """The suite's verdict is the commutant's, and a vanishing mu_bar FAILs it
+    exactly when the lemma needs that mu_bar: in a block of two or more.
+
+    The lemma's hypothesis is sufficient, not necessary: with mu_bar_b = 0 the
+    commutant can stay c I (b at an end of a block of three or more, or some
+    middle b of a longer block), and there the check FAILs though the commutant
+    is scalar.  It never PASSes a commutant of rank 2 or more.
+    """
+    table = EtaRTable(p, max_weight).populate()
+    wider, singles = 0, 0
+    for n in (1, 2, 3, 4):
+        for r in range(max_weight + 1):
+            r_basis = block_split(r, n, p).r_basis
+            status, witness = centre_check(monkeypatch, table, n, r)
+            assert (status == "PASS") == is_scalars(centre_commutant(r, n, table)[1]), (n, r)
+            assert witness.startswith(f"shift lemma: |R|={len(r_basis)}, mu_bar valuations ")
+            mu_bar = [realizations(r, table)[beta][0] for beta in r_basis]
+            for b, beta in enumerate(r_basis):
+                zeroed = mu_bar[:b] + [0] + mu_bar[b + 1:]
+                scalars = is_scalars(commutant(shifts(zeroed), len(r_basis), p))
+                status, witness = centre_check(monkeypatch, table, n, r, vanish=beta)
+                if len(r_basis) == 1:
+                    assert scalars and status == "PASS", (n, r)
+                    singles += 1
+                else:
+                    assert (status, witness) == ("FAIL", f"mu_bar vanishes at {beta}")
+                    wider += not scalars
+    # Both branches were taken, and some zeroed block really has a wider commutant.
+    assert singles > 0 and wider > 0
 
 
 def test_diagonal_window_lattice_n0_full(table_p3):
