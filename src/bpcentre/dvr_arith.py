@@ -256,29 +256,26 @@ def echelon_lattice(p: int, generators, ambient_rank: int) -> DvrLattice:
         cols.append(col)
 
     # Each basis column is kept as (c, u): the vector c/u, c[pivot row] = p^e*u.
+    # A new column reduces its pivot row in every earlier column i: with entry
+    # x = c_i[row]/u_i and representative rep, column i loses (x - rep)/p^e = t/u_i
+    # times it.  A column changes only through later pivots, so one pass suffices.
     echelon: list[tuple[list[int], int]] = []
     pivots: list[tuple[int, int]] = []
     for row, j in _eliminate(cols, ambient_rank, p):
         col = cols[j]
         e = valuation(col[row], p)
-        u = col[row] // p**e
+        mod = p**e
+        u = col[row] // mod
         if u < 0:
             col, u = [-x for x in col], -u
-        echelon.append(_lowest_terms(col, u))
-        pivots.append((row, e))
-
-    # Reduce pivot-row entries of earlier columns mod the pivot, top down:
-    # column i, with entry x = c_i[row]/u_i and representative rep, loses
-    # (x - rep)/p^e = t/u_i times column j.
-    for j, (row, e) in enumerate(pivots):
-        mod = p**e
-        cj, uj = echelon[j]
-        for i in range(j):
-            ci, ui = echelon[i]
+        cj, uj = _lowest_terms(col, u)
+        for i, (ci, ui) in enumerate(echelon):
             rep = ci[row] * pow(ui, -1, mod) % mod  # ui is prime to p
             t = (ci[row] - rep * ui) // mod
             if t:
                 echelon[i] = _lowest_terms([uj * x - t * y for x, y in zip(ci, cj)], ui * uj)
+        echelon.append((cj, uj))
+        pivots.append((row, e))
 
     return DvrLattice(
         p=p,
@@ -345,27 +342,21 @@ def commutant(mats, size: int, p: int) -> list[Matrix]:
 
     Matrices are square of the given size with p-local entries; the empty
     family yields the full matrix space.  Unknowns are the size^2 entries of
-    X in row-major order; rows of XM - MX that vanish identically constrain
-    nothing and are left out.
+    X in row-major order; each entry of each XM - MX gives one row.
     """
     rows = []
     for m in mats:
         if len(m) != size or any(len(r) != size for r in m):
             raise ValueError("commutant input must be square of the given size")
         # (XM - MX)[i][j] = sum_b m[b][j] X[i][b] - sum_a m[i][a] X[a][j]
-        col_terms = [[(b, m[b][j]) for b in range(size) if m[b][j]] for j in range(size)]
-        row_terms = [[(a, x) for a, x in enumerate(m[i]) if x] for i in range(size)]
         for i in range(size):
             for j in range(size):
-                if not (row_terms[i] or col_terms[j]):
-                    continue
                 row = [0] * (size * size)
-                for b, x in col_terms[j]:
-                    row[i * size + b] += x
-                for a, x in row_terms[i]:
-                    row[a * size + j] -= x
-                if any(row):
-                    rows.append(row)
+                for b in range(size):
+                    row[i * size + b] += m[b][j]
+                for a in range(size):
+                    row[a * size + j] -= m[i][a]
+                rows.append(row)
     kernel = integral_kernel(rows, size * size, p)
     return [
         tuple(tuple(vec[i * size + j] for j in range(size)) for i in range(size))

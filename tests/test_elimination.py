@@ -95,18 +95,28 @@ def oracle_commutant_rows(mats, size):
     return rows
 
 
-def random_entry(rng, p):
+def random_entry(rng, p, denominators=None):
+    """0, or a signed p-power times a small integer; with denominators, that
+    integer over a denominator drawn from them (an int when it is 1)."""
     if rng.random() < 0.4:
         return 0
-    return rng.choice([1, -1, 2, -2, 7]) * p ** rng.randint(0, 3)
+    x = rng.choice([1, -1, 2, -2, 7]) * p ** rng.randint(0, 3)
+    if denominators is None:
+        return x
+    d = rng.choice(denominators)
+    return x if d == 1 else Fraction(x, d)
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_random_matrices_match_oracles(p):
-    rng = random.Random(p)
+@pytest.mark.parametrize("denominators", [None, (1, 2, 4)], ids=["ints", "fractions"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_random_matrices_match_oracles(p, denominators):
+    """Integer entries, and entries over the prime-to-p denominators 2 and 4,
+    whose lattices can have Fraction basis entries."""
+    rng = random.Random(p if denominators is None else 100 + p)
     for _ in range(150):
         nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
-        rows = [[random_entry(rng, p) for _ in range(ncols)] for _ in range(nrows)]
+        rows = [[random_entry(rng, p, denominators) for _ in range(ncols)]
+                for _ in range(nrows)]
         assert integral_kernel(rows, ncols, p) == oracle_integral_kernel(rows, ncols, p)
         # The rows double as generators of a lattice in Z_(p)^ncols.
         assert echelon_lattice(p, rows, ncols) == oracle_echelon_lattice(p, rows, ncols)
@@ -125,7 +135,7 @@ def test_centre_systems_match_oracle(n, table_p3):
         rows = oracle_commutant_rows(mats, size)
         expected = oracle_integral_kernel(rows, size * size, 3)
         assert integral_kernel(rows, size * size, 3) == expected, (n, r)
-        # commutant drops the zero rows; its basis is the same kernel.
+        # commutant builds these same rows, so its basis is the same kernel.
         reshaped = [
             tuple(tuple(vec[i * size + j] for j in range(size)) for i in range(size))
             for vec in expected
