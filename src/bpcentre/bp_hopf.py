@@ -33,7 +33,10 @@ from operator import or_
 try:  # the built-in SHA-256: hashlib would load OpenSSL
     from _sha256 import sha256
 except ImportError:
-    from hashlib import sha256
+    try:  # its name from Python 3.12 on
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .dvr_arith import is_odd_prime
 from .monomial_order import (

@@ -32,8 +32,7 @@ from .bp_hopf import (
     check_integrality,
     coefficient_of_t,
 )
-from .dvr_arith import (default_caps, generates_units_mod_p2, is_odd_prime,
-                         topological_generator, valuation)
+from .dvr_arith import is_odd_prime, valuation
 from .monomial_order import enumerate_weight, max_generator_index, unit_exp
 
 # The verify and lattice modules are imported by the functions that call them, so
@@ -48,8 +47,8 @@ class ConfigError(ValueError):
 
 
 class RunConfig(namedtuple(
-        "RunConfig", "p max_weight heights N q cache_dir format caps margin",
-        defaults=(3, 13, (1, 2), None, None, ".bpcentre-cache", "markdown", None, 4))):
+        "RunConfig", "p max_weight heights N cache_dir format",
+        defaults=(3, 13, (1, 2), None, ".bpcentre-cache", "markdown"))):
     """One run's settings, named as the report's config keys and the options' dests."""
 
     __slots__ = ()
@@ -58,8 +57,6 @@ class RunConfig(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if not is_odd_prime(self.p):
             raise ConfigError(f"p must be an odd prime, got {self.p}")
-        if self.q is not None and not generates_units_mod_p2(self.q, self.p):
-            raise ConfigError(f"q must generate the units of Z/{self.p**2}, got {self.q}")
         if self.max_weight < 1:
             raise ConfigError("max-weight must be at least 1")
         if self.N is not None and not (0 <= self.N <= self.max_weight):
@@ -72,15 +69,8 @@ class RunConfig(namedtuple(
             raise ConfigError("--cache must name a directory, got ''")
         if self.format not in ("json", "csv", "markdown"):
             raise ConfigError(f"unknown format {self.format!r}")
-        if self.margin < 1:
-            raise ConfigError("margin must be positive")
-        if self.caps is not None and (len(self.caps) != 2 or min(self.caps) < 0):
-            raise ConfigError(f"caps must be two non-negative integers M,S, got {list(self.caps)}")
-        # Resolve the defaults once; every consumer reads the resolved values.
-        N = min(5, self.max_weight) if self.N is None else self.N
-        return self._replace(
-            N=N, q=topological_generator(self.p) if self.q is None else self.q,
-            caps=default_caps(N) if self.caps is None else self.caps)
+        # Resolve the default once; every consumer reads the resolved value.
+        return self._replace(N=min(5, self.max_weight) if self.N is None else self.N)
 
     def cache_path(self) -> str:
         name = f"etaR_p{self.p}_{CONVENTION}_w{self.max_weight}.json"
@@ -240,9 +230,9 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
                                   sg_closure, sg_membership, sg_window)
     from .op_calculus import ConsistencyError, adams_sequence
     checks: list[dict] = []
-    p, q, N = config.p, config.q, config.N
+    p, N = config.p, config.N
     try:
-        sg, cert = sg_window(p, N, q=q, caps=config.caps, margin=config.margin)
+        sg, cert = sg_window(p, N)
     except StabilizationError as exc:
         _check(checks, f"sg-stabilization/N={N}", False, str(exc))
         return checks
@@ -252,6 +242,7 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
         True,
         f"last_changed_a={cert.last_changed_a} stopped_at_a={cert.stopped_at_a}",
     )
+    q = cert.q
     for k in (0, 1, q, q * q, p, p * q):
         member = sg_membership(adams_sequence(p, k, N), sg)
         _check(checks, f"sg-generator-membership/k={k}", member is not None,
@@ -262,7 +253,7 @@ def suite_congruence(config: RunConfig, table: EtaRTable) -> list[dict]:
     except ClosureError as exc:
         _check(checks, f"sg-closure/N={N}", False, str(exc))
     if N >= 1:
-        smaller, _ = sg_window(p, N - 1, q=q, caps=config.caps, margin=config.margin)
+        smaller, _ = sg_window(p, N - 1)
         nested = all(
             sg_membership(col[: N], smaller) is not None for col in sg.basis
         )
@@ -298,7 +289,7 @@ def run_suites(config: RunConfig, table: EtaRTable, suite: str) -> list[dict]:
 def lattice_report(config: RunConfig, table: EtaRTable) -> dict:
     """The comparisons' keys over the heights: S_g once, inclusions as one flag."""
     from .ktheory_lattice import compare_with_diagonal_window, sg_closure, sg_window
-    sg = sg_window(config.p, config.N, q=config.q, caps=config.caps, margin=config.margin)
+    sg = sg_window(config.p, config.N)
     sg_closure(sg)
     comparisons = [compare_with_diagonal_window(config.N, n, table, sg[0])
                    for n in config.heights]
@@ -464,16 +455,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated truncation heights")
     parser.add_argument("--N", type=int,
                         help="window bound for the lattices (default min(5, max-weight))")
-    parser.add_argument("--q", type=int, help="override the topological generator")
     parser.add_argument("--cache", type=str, dest="cache_dir",
                         default=(os.environ.get(CACHE_ENV_VAR)
                                  or RunConfig._field_defaults["cache_dir"]),
                         help=f"cache directory (or ${CACHE_ENV_VAR})")
     parser.add_argument("--format", type=str, choices=("json", "csv", "markdown"))
-    parser.add_argument("--caps", type=_ints,
-                        help="generator caps as M,S for the Adams span")
-    parser.add_argument("--margin", type=int,
-                        help="stabilization margin for the Adams span")
 
 
 def main(argv=None) -> int:

@@ -12,6 +12,7 @@ from bpcentre.cli_report import (
     main,
     render_report,
 )
+from bpcentre.dvr_arith import topological_generator
 from bpcentre.ktheory_lattice import sg_window
 from bpcentre.truncation_centre import block_split
 
@@ -20,10 +21,6 @@ def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
-
-
-def base_args(tmp_path, extra=()):
-    return list(extra) + ["--cache", str(tmp_path / "cache")]
 
 
 def test_config_validation():
@@ -86,17 +83,19 @@ def test_even_prime_is_usage_error(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-def test_bad_caps_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["eta-table"], ["verify", "all"], ["lattices"]])
+@pytest.mark.parametrize("option, value", [("--q", "2"), ("--caps", "13,3"), ("--margin", "4")])
+def test_the_adams_span_options_are_gone(command, option, value, tmp_path, capsys):
+    # The Adams span runs at its defaults: every generator q gives the same
+    # S_g, and the default caps stabilize and close it.
     with pytest.raises(SystemExit) as exc:
-        main(["lattices", "--caps", "oops", "--cache", str(tmp_path / "cache")])
+        main([*command, option, value, "--cache", str(tmp_path / "cache")])
     assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value, message", [
     ("--heights", "x", "argument --heights: expected comma-separated integers, got 'x'"),
-    ("--caps", "oops", "argument --caps: expected comma-separated integers, got 'oops'"),
-    ("--caps", "1,2,3", "caps must be two non-negative integers M,S, got [1, 2, 3]"),
-    ("--caps", "1", "caps must be two non-negative integers M,S, got [1]"),
 ])
 def test_bad_list_option_is_usage_error_naming_it(option, value, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -212,10 +211,10 @@ def test_lattices_n0(tmp_path, capsys):
     assert report["lattices"]["diagonal"]["1"] == [0]
 
 
-def test_lattices_stabilization_failure(tmp_path, capsys):
+def test_lattices_stabilization_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("bpcentre.ktheory_lattice.default_caps", lambda N: (1, 0))
     argv = ["lattices", "--p", "3", "--max-weight", "6", "--N", "6",
-            "--heights", "1", "--caps", "1,0", "--margin", "10",
-            "--cache", str(tmp_path / "cache")]
+            "--heights", "1", "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, argv)
     assert code == 1
     assert "FAIL stabilization" in out
@@ -460,8 +459,6 @@ def test_run_config_window_defaults():
     assert RunConfig(max_weight=3).N == 3
     assert RunConfig(max_weight=13).N == 5
     assert RunConfig(max_weight=13, N=0).N == 0
-    assert RunConfig(max_weight=3).caps == (11, 3)
-    assert RunConfig(max_weight=3).q == 2
 
 
 def test_run_config_checks_positional_and_keyword_arguments():
@@ -471,10 +468,8 @@ def test_run_config_checks_positional_and_keyword_arguments():
         RunConfig(p=2)
     with pytest.raises(ConfigError, match="max-weight"):
         RunConfig(3, 0)
-    with pytest.raises(ConfigError, match="margin"):
-        RunConfig(3, 13, (1, 2), None, None, "c", "json", None, 0)
-    with pytest.raises(ConfigError, match="margin"):
-        RunConfig(margin=0)
+    with pytest.raises(ConfigError, match="unknown format"):
+        RunConfig(3, 13, (1, 2), None, "c", "yaml")
     assert RunConfig(5, 7, (1,)) == RunConfig(p=5, max_weight=7, heights=(1,))
 
 
@@ -516,23 +511,8 @@ def test_render_report_covers_lattices():
     assert "lattice,S_g,divisors" in csv_text
 
 
-@pytest.mark.parametrize("q", [1, 3, 10])
-def test_non_generator_q_is_rejected(q, tmp_path, capsys):
-    with pytest.raises(ConfigError):
-        RunConfig(p=3, q=q)
-    with pytest.raises(SystemExit) as exc:
-        main(base_args(tmp_path, ["lattices", "--p", "3", "--max-weight", "5",
-                                  "--N", "5", "--heights", "1", "--q", str(q)]))
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("q", [2, 5])
-def test_generator_q_is_accepted(q):
-    assert RunConfig(p=3, q=q).q == q
-
-
 def test_large_p_resolves_q_without_stepping_through_powers():
-    assert RunConfig(p=10007).q == 5
+    assert topological_generator(10007) == 5
 
 
 def test_lattices_report_phi_keys(tmp_path, capsys):
@@ -548,14 +528,15 @@ def test_lattices_report_phi_keys(tmp_path, capsys):
     assert lat["gap"] == {"1": 0, "2": 0}
 
 
-@pytest.mark.parametrize("window,caps,missing", [("13", "21,1", "[9, 18]"),
-                                                 ("5", "13,0", "[3, 6]")])
+@pytest.mark.parametrize("window,caps,missing", [("13", (21, 1), "[9, 18]"),
+                                                 ("5", (13, 0), "[3, 6]")])
 def test_caps_that_stop_the_adams_span_short_fail_closed(window, caps, missing,
-                                                         tmp_path, capsys):
+                                                         tmp_path, capsys, monkeypatch):
     # Both caps stabilize, but S_g misses the windows of p^(s_cap+1) and
     # p^(s_cap+1)*q.
+    monkeypatch.setattr("bpcentre.ktheory_lattice.default_caps", lambda N: caps)
     args = ["--p", "3", "--max-weight", "13", "--N", window, "--heights", "1",
-            "--caps", caps, "--cache", str(tmp_path / "cache")]
+            "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, ["lattices", *args])
     assert code == 1
     assert out.startswith(f"FAIL closure: the Adams windows of k={missing} lie outside S_g "

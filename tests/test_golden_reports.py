@@ -6,7 +6,8 @@ benchmark's verify-warm and eta-table configurations in every format, a
 congruence run whose caps stop the Adams span short, so that its report holds
 FAIL items and the run exits 1, and a congruence run whose S_g does not
 stabilize within its caps, so that its one check FAILs and the run exits 1,
-both in every format.
+both in every format.  No option sets the caps, so those two runs replace
+``ktheory_lattice.default_caps`` by the caps in ``CAPS``.
 
 Each file under ``tests/data`` is the standard output of one command run in
 an empty directory with ``--cache cache``, so its cache section reads
@@ -17,7 +18,14 @@ regenerate one, run for example::
     python -m bpcentre verify all --p 3 --max-weight 8 --N 4 --heights 1,2,3 \\
         --format json --cache cache > tests/data/verify_p3_w8.json
 
-in an empty directory, with ``src`` on the Python path.
+in an empty directory, with ``src`` on the Python path.  A configuration in
+``CAPS`` runs with its caps patched in, for example::
+
+    python -c "import sys; from bpcentre import ktheory_lattice, cli_report; \\
+        ktheory_lattice.default_caps = lambda N: (13, 0); \\
+        sys.exit(cli_report.main(sys.argv[1:]))" \\
+        verify congruence --p 3 --max-weight 13 --N 5 --heights 1,2 \\
+        --format json --cache cache > tests/data/congruence_p3_w13_fail.json
 """
 
 from pathlib import Path
@@ -56,13 +64,14 @@ CONFIGS = {
     # S_g misses the windows of k=3 and k=6: membership and closure FAIL,
     # while stabilization and both heights' inclusions PASS.
     "congruence_p3_w13_fail": ["verify", "congruence", "--p", "3", "--max-weight", "13",
-                               "--N", "5", "--heights", "1,2", "--caps", "13,0"],
+                               "--N", "5", "--heights", "1,2"],
     # The Adams span does not stabilize: sg-stabilization FAILs with the
     # StabilizationError text, and no later congruence check runs.
     "congruence_p3_w8_unstable": ["verify", "congruence", "--p", "3", "--max-weight", "8",
-                                  "--N", "4", "--heights", "1", "--caps", "1,0",
-                                  "--margin", "10"],
+                                  "--N", "4", "--heights", "1"],
 }
+# The generator caps (M, S) that the two failing configurations run with.
+CAPS = {"congruence_p3_w13_fail": (13, 0), "congruence_p3_w8_unstable": (1, 0)}
 # The exit code of each configuration: 1 when its report shows a FAIL, else 0.
 EXIT_CODES = {name: 0 for name in CONFIGS} | {"congruence_p3_w13_fail": 1,
                                               "congruence_p3_w8_unstable": 1}
@@ -87,6 +96,8 @@ def test_report_bytes_match_golden(name, fmt, tmp_path, monkeypatch, capsys):
     it is the golden file with the cache status ``hit`` for ``written``.
     Both runs exit with the configuration's code."""
     monkeypatch.chdir(tmp_path)
+    if name in CAPS:
+        monkeypatch.setattr("bpcentre.ktheory_lattice.default_caps", lambda N: CAPS[name])
     golden = (DATA / f"{name}.{FORMATS[fmt]}").read_bytes()
     assert golden.count(WRITTEN[fmt]) == 1
     warm = golden.replace(WRITTEN[fmt], WRITTEN[fmt].replace(b"written", b"hit"))

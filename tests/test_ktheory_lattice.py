@@ -127,7 +127,9 @@ def test_compare_with_diagonal_window(table_p3):
     assert report["gap"] >= 0
 
 
-@pytest.mark.parametrize("p,N", [(3, 5), (3, 9), (3, 13), (5, 8)])
+# No option raises the caps: the defaults must stabilize and close S_g.
+@pytest.mark.parametrize("p,N", [(p, N) for p in (3, 5, 7, 11, 13) for N in range(13)]
+                         + [(3, 13)])
 def test_sg_closure_holds_at_default_caps(p, N):
     sg, cert = sg_window(p, N)
     q = cert.q

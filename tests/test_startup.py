@@ -42,9 +42,11 @@ def test_a_command_does_not_load_dataclasses(tmp_path):
 # Each command loads only the modules it runs: eta-table neither the verify
 # and lattice modules nor the csv writer, and no command loads fractions (no
 # command builds a Fraction) or the decimal module that fractions pulls in.
-# Where CPython has its built-in SHA-256, no command loads hashlib, whose
-# _hashlib loads OpenSSL's libcrypto (about 3.7 MB of peak RSS per run).
-OPENSSL = ("hashlib", "_hashlib") if importlib.util.find_spec("_sha256") else ()
+# Where CPython has its built-in SHA-256 (_sha256, or _sha2 from Python 3.12
+# on), no command loads hashlib, whose _hashlib loads OpenSSL's libcrypto
+# (about 3.7 MB of peak RSS per run).
+OPENSSL = (("hashlib", "_hashlib") if importlib.util.find_spec("_sha256")
+           or importlib.util.find_spec("_sha2") else ())
 NOT_LOADED = [
     (["eta-table", "--max-weight", "4"],
      ("fractions", "decimal", "numbers", "csv", "bpcentre.op_calculus",
@@ -92,7 +94,7 @@ def test_a_markdown_report_does_not_load_csv(argv, tmp_path):
 # Without the built-in module, bp_hopf takes hashlib's SHA-256: the same digest.
 FALLBACK_CHILD = """
 import hashlib, sys
-sys.modules["_sha256"] = None
+sys.modules["_sha256"] = sys.modules["_sha2"] = None
 from bpcentre import bp_hopf
 table = bp_hopf.EtaRTable(3, 8)
 print(bp_hopf.sha256 is hashlib.sha256, table.fingerprint(),
@@ -113,19 +115,22 @@ def test_without_the_built_in_module_the_fingerprint_comes_from_hashlib():
 
 
 # python -m bpcentre runs main and exits with its code: 0 on success, 1 on a
-# failed check, 2 on a usage error.
+# failed check (here the corrupt W=3 cache file), 2 on a usage error.
 ENTRY_POINT_RUNS = [
     (["eta-table", "--max-weight", "2", "--format", "json"], 0),
-    (["lattices", "--p", "3", "--max-weight", "2", "--N", "2", "--caps", "0,0"], 1),
+    (["lattices", "--p", "3", "--max-weight", "3", "--N", "2"], 1),
     (["eta-table", "--p", "4"], 2),
 ]
 
 
 @pytest.mark.parametrize("argv, code", ENTRY_POINT_RUNS, ids=["pass", "fail", "usage"])
 def test_the_module_entry_point_returns_mains_exit_code(argv, code, tmp_path):
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / "etaR_p3_hazewinkel_w3.json").write_text("{}")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run(
         [sys.executable, "-m", "bpcentre", *argv, "--cache", str(tmp_path / "cache")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == code, done.stdout + done.stderr
+    assert done.stdout.startswith("FAIL cache:") == (code == 1), done.stdout
