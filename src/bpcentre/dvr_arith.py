@@ -74,40 +74,6 @@ def reduce_mod_p_power(x, p: int, e: int) -> int:
     return x.numerator * pow(x.denominator, -1, mod) % mod
 
 
-def generates_units_mod_p2(q: int, p: int) -> bool:
-    """Whether q generates the units of Z/p^2, for an odd prime p.
-
-    The units are cyclic of order p(p-1), so a unit q generates them exactly
-    when q^(p(p-1)/l) != 1 mod p^2 for every prime l dividing p(p-1).  Such
-    a q is a topological generator of the p-adic units.
-    """
-    if q % p == 0:
-        return False
-    primes, m, d = {p}, p - 1, 2
-    while d * d <= m:
-        if m % d:
-            d += 1
-        else:
-            primes.add(d)
-            m //= d
-    if m > 1:
-        primes.add(m)
-    order = p * (p - 1)
-    return all(pow(q, order // l, p * p) != 1 for l in primes)
-
-
-def topological_generator(p: int) -> int:
-    """Smallest positive integer generating the units of Z/p^2."""
-    if not is_odd_prime(p):
-        raise ValueError("p must be an odd prime")
-    return next(q for q in range(2, p * p) if generates_units_mod_p2(q, p))
-
-
-def default_caps(N: int) -> tuple[int, int]:
-    """Default generator caps (M, S) of the Adams family for window N."""
-    return N + 8, 3
-
-
 # ---------------------------------------------------------------------------
 # plain exact matrices (tuples of row tuples)
 # ---------------------------------------------------------------------------

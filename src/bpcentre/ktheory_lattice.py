@@ -18,14 +18,16 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .bp_hopf import EtaRTable
-from .dvr_arith import (DvrLattice, default_caps, echelon_lattice, lattice_membership,
-                         topological_generator)
+from .dvr_arith import DvrLattice, echelon_lattice, is_odd_prime, lattice_membership
 from .op_calculus import adams_sequence
 from .truncation_centre import diagonal_window_lattice, phi_window_lattice
 
+# Consecutive Adams steps that must leave the span unchanged to stop the loop.
+MARGIN = 4
+
 
 class StabilizationError(RuntimeError):
-    """The Adams span kept changing within the configured generator caps."""
+    """The Adams span kept changing within the default generator caps."""
 
 
 class ClosureError(RuntimeError):
@@ -39,27 +41,47 @@ class StabilizationCertificate(namedtuple(
     __slots__ = ()
 
 
-def sg_window(
-    p: int,
-    N: int,
-    q: int | None = None,
-    caps=None,
-    margin: int = 4,
-):
+def topological_generator(p: int) -> int:
+    """Smallest positive integer generating the units of Z/p^2, for an odd prime p.
+
+    The units are cyclic of order p(p-1), so a unit q generates them exactly
+    when q^(p(p-1)/l) != 1 mod p^2 for every prime l dividing p(p-1).  Such
+    a q is a topological generator of the p-adic units.
+    """
+    if not is_odd_prime(p):
+        raise ValueError("p must be an odd prime")
+    primes, m, d = {p}, p - 1, 2
+    while d * d <= m:
+        if m % d:
+            d += 1
+        else:
+            primes.add(d)
+            m //= d
+    if m > 1:
+        primes.add(m)
+    order = p * (p - 1)
+    return next(q for q in range(2, p * p)
+                if q % p and all(pow(q, order // l, p * p) != 1 for l in primes))
+
+
+def default_caps(N: int) -> tuple[int, int]:
+    """Generator caps (M, S) of the Adams family for window N."""
+    return N + 8, 3
+
+
+def sg_window(p: int, N: int):
     """Stabilized window lattice of the congruence ring, with certificate.
 
     Returns (lattice, certificate).  Generators are the Adams windows for
-    k = p^s q^a with s <= S and a grown until ``margin`` consecutive steps
+    k = p^s q^a with s <= S and a grown until ``MARGIN`` consecutive steps
     leave the echelon form unchanged, plus the k = 0 window; exceeding the
-    cap M on a without stabilizing is an explicit error.
+    cap M on a without stabilizing is an explicit error.  The span runs at
+    one setting: q = topological_generator(p), (M, S) = default_caps(N).
     """
     if N < 0:
         raise ValueError("window bound must be non-negative")
-    if margin < 1:
-        raise ValueError("margin must be positive")
-    if q is None:
-        q = topological_generator(p)
-    m_cap, s_cap = caps if caps is not None else default_caps(N)
+    q = topological_generator(p)
+    m_cap, s_cap = default_caps(N)
 
     lattice = echelon_lattice(p, [adams_sequence(p, 0, N)], N + 1)
     streak = 0
@@ -73,15 +95,15 @@ def sg_window(
             streak = 0
             last_changed = a
             lattice = echelon_lattice(p, lattice.basis + tuple(batch), N + 1)
-        if streak >= margin:
+        if streak >= MARGIN:
             cert = StabilizationCertificate(
-                q=q, m_cap=m_cap, s_cap=s_cap, margin=margin,
+                q=q, m_cap=m_cap, s_cap=s_cap, margin=MARGIN,
                 last_changed_a=last_changed, stopped_at_a=a,
             )
             return lattice, cert
     raise StabilizationError(
-        f"Adams span for window {N} did not stabilize for {margin} consecutive "
-        f"steps within a <= {m_cap} (s <= {s_cap}); raise the caps"
+        f"Adams span for window {N} did not stabilize for {MARGIN} consecutive "
+        f"steps within the default caps a <= {m_cap} (s <= {s_cap})"
     )
 
 
@@ -119,7 +141,7 @@ def sg_closure(sg) -> tuple[int, int, int]:
     missing = [k for k in keys if sg_membership(adams_sequence(p, k, N), lattice) is None]
     if missing:
         raise ClosureError(f"the Adams windows of k={missing} lie outside S_g for window "
-                           f"{N} (caps {cert.m_cap},{cert.s_cap}); raise the caps")
+                           f"{N} (default caps {cert.m_cap},{cert.s_cap})")
     return keys
 
 

@@ -12,8 +12,7 @@ from bpcentre.cli_report import (
     main,
     render_report,
 )
-from bpcentre.dvr_arith import topological_generator
-from bpcentre.ktheory_lattice import sg_window
+from bpcentre.ktheory_lattice import sg_window, topological_generator
 from bpcentre.truncation_centre import block_split
 
 
@@ -217,7 +216,9 @@ def test_lattices_stabilization_failure(tmp_path, capsys, monkeypatch):
             "--heights", "1", "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, argv)
     assert code == 1
-    assert "FAIL stabilization" in out
+    assert out == ("FAIL stabilization: Adams span for window 6 did not stabilize for 4 "
+                   "consecutive steps within the default caps a <= 1 (s <= 0)\n")
+    assert "raise" not in out  # advice that no option can follow
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
@@ -539,8 +540,9 @@ def test_caps_that_stop_the_adams_span_short_fail_closed(window, caps, missing,
             "--cache", str(tmp_path / "cache")]
     code, out = run_cli(capsys, ["lattices", *args])
     assert code == 1
-    assert out.startswith(f"FAIL closure: the Adams windows of k={missing} lie outside S_g "
-                          f"for window {window}")
+    assert out == (f"FAIL closure: the Adams windows of k={missing} lie outside S_g "
+                   f"for window {window} (default caps {caps[0]},{caps[1]})\n")
+    assert "raise" not in out  # advice that no option can follow
     if window == "5":
         code, out = run_cli(capsys, ["verify", "congruence", *args, "--format", "json"])
         assert code == 1

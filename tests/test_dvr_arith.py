@@ -10,16 +10,15 @@ from bpcentre.dvr_arith import (
     INFINITY,
     commutant,
     echelon_lattice,
-    generates_units_mod_p2,
     integral_kernel,
     is_integral,
     lattice_membership,
     mat_mul,
     reduce_mod_p_power,
     scalar_value,
-    topological_generator,
     valuation,
 )
+from bpcentre.ktheory_lattice import topological_generator
 from bpcentre.op_calculus import adams_sequence
 
 
@@ -113,10 +112,10 @@ def order_loop_generates(q, p):
     return order == p * (p - 1)
 
 
-def test_generates_units_matches_order_loop():
-    for p in (x for x in range(3, 60, 2) if all(x % d for d in range(3, x, 2))):
-        for q in range(-3, p * p + 5):
-            assert generates_units_mod_p2(q, p) == order_loop_generates(q, p), (p, q)
+def test_topological_generator_is_the_first_order_loop_generator():
+    for p in (x for x in range(3, 200, 2) if all(x % d for d in range(3, x, 2))):
+        first = next(q for q in itertools.count(2) if order_loop_generates(q, p))
+        assert topological_generator(p) == first, p
 
 
 def test_echelon_full_lattice():

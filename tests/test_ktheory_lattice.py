@@ -102,16 +102,30 @@ def test_pointwise_product_closure_on_generators():
             assert prod == adams_sequence(3, k1 * k2, 5)
 
 
-def test_stabilization_reproducible_with_raised_caps():
+def patched_sg_window(monkeypatch, p, N, q=None, caps=None, margin=None):
+    """sg_window(p, N) with topological_generator, default_caps or MARGIN
+    replaced by the given generator, caps or margin."""
+    if q is not None:
+        monkeypatch.setattr(ktheory_lattice, "topological_generator", lambda p: q)
+    if caps is not None:
+        monkeypatch.setattr(ktheory_lattice, "default_caps", lambda N: caps)
+    if margin is not None:
+        monkeypatch.setattr(ktheory_lattice, "MARGIN", margin)
+    return sg_window(p, N)
+
+
+def test_stabilization_reproducible_with_raised_caps(monkeypatch):
     for N in (2, 4):
         lat, cert = sg_window(3, N)
-        raised, _ = sg_window(3, N, caps=(cert.m_cap + cert.margin, cert.s_cap))
+        raised, _ = patched_sg_window(monkeypatch, 3, N,
+                                      caps=(cert.m_cap + cert.margin, cert.s_cap))
+        monkeypatch.undo()
         assert raised == lat
 
 
-def test_stabilization_failure_is_loud():
-    with pytest.raises(StabilizationError):
-        sg_window(3, 6, caps=(1, 0), margin=10)
+def test_stabilization_failure_is_loud(monkeypatch):
+    with pytest.raises(StabilizationError, match="within the default caps a <= 1 "):
+        patched_sg_window(monkeypatch, 3, 6, caps=(1, 0), margin=10)
 
 
 def test_compare_with_diagonal_window(table_p3):
@@ -137,8 +151,8 @@ def test_sg_closure_holds_at_default_caps(p, N):
 
 
 @pytest.mark.parametrize("N,caps,missing", [(13, (21, 1), [9, 18]), (5, (13, 0), [3, 6])])
-def test_sg_closure_fails_when_the_caps_stop_short(N, caps, missing):
-    sg = sg_window(3, N, caps=caps)
+def test_sg_closure_fails_when_the_caps_stop_short(N, caps, missing, monkeypatch):
+    sg = patched_sg_window(monkeypatch, 3, N, caps=caps)
     with pytest.raises(ClosureError, match=re.escape(f"k={missing}")):
         sg_closure(sg)
 
@@ -187,11 +201,12 @@ SPAN_CASES = (
 @pytest.mark.parametrize("p,N,options", SPAN_CASES, ids=[
     ",".join([f"p={p}", f"N={N}"] + [f"{k}={v}" for k, v in options.items()])
     for p, N, options in SPAN_CASES])
-def test_sg_window_is_the_span_of_every_adams_window_within_the_caps(p, N, options):
-    lat, cert = sg_window(p, N, **options)
+def test_sg_window_is_the_span_of_every_adams_window_within_the_caps(p, N, options,
+                                                                    monkeypatch):
+    lat, cert = patched_sg_window(monkeypatch, p, N, **options)
     q = options.get("q", ORACLE_Q[p])
     caps = options.get("caps", (N + 8, 3))
-    assert (cert.q, cert.m_cap, cert.s_cap) == (q, *caps)
+    assert (cert.q, cert.m_cap, cert.s_cap, cert.margin) == (q, *caps, options.get("margin", 4))
     assert lat == adams_span_oracle(p, N, q, caps)
     # The membership short-cut reaches the same steps as re-echeloning each.
     assert (lat, cert.last_changed_a, cert.stopped_at_a) == oracle_sg_window(p, N, **options)

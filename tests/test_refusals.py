@@ -48,7 +48,6 @@ REFUSALS = {
                              "square of the given size"),
     "sg-negative-window": (lambda: sg_window(3, -1), ValueError,
                            "window bound must be non-negative"),
-    "sg-margin": (lambda: sg_window(3, 4, margin=0), ValueError, "margin must be positive"),
     "generator-index": (lambda: generator_weight(0, 3), ValueError,
                         "generator index must be >= 1"),
     "negative-weight": (lambda: enumerate_weight(-1, 3), ValueError,

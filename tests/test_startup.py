@@ -134,3 +134,20 @@ def test_the_module_entry_point_returns_mains_exit_code(argv, code, tmp_path):
     )
     assert done.returncode == code, done.stdout + done.stderr
     assert done.stdout.startswith("FAIL cache:") == (code == 1), done.stdout
+
+
+# In development mode with warnings as errors, a command prints nothing to
+# stderr: an unclosed cache file shows as a ResourceWarning there, and a
+# deprecated call fails the run.  Cold, each command writes the cache; warm,
+# it reads it back.
+@pytest.mark.parametrize("argv", [argv for argv, _ in NOT_LOADED],
+                         ids=[argv[0] for argv, _ in NOT_LOADED])
+def test_a_command_runs_warning_free_in_development_mode(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for run in ("cold", "warm"):
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "bpcentre", *argv,
+             "--cache", str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, ""), (run, done.stderr)

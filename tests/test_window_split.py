@@ -11,13 +11,8 @@ import pytest
 
 from bpcentre import op_calculus, truncation_centre
 from bpcentre.bp_hopf import EtaRTable
-from bpcentre.dvr_arith import (
-    echelon_lattice,
-    integral_kernel,
-    lattice_membership,
-    topological_generator,
-)
-from bpcentre.ktheory_lattice import sg_window
+from bpcentre.dvr_arith import echelon_lattice, integral_kernel, lattice_membership
+from bpcentre.ktheory_lattice import sg_window, topological_generator
 from bpcentre.monomial_order import max_generator_index
 from bpcentre.op_calculus import action_matrix
 from bpcentre.truncation_centre import (
